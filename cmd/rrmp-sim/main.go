@@ -1163,7 +1163,7 @@ func run(a singleArgs) error {
 	if loss > 0 {
 		if a.shards > 1 && a.lossMode != "hash" {
 			// The legacy shared loss stream only reproduces on one loop,
-			// so the run silently falls back to serial (effectiveShards).
+			// so the run silently runs at width 1 (effectiveShards).
 			// Say so instead of letting -shards look like a no-op.
 			fmt.Fprintf(os.Stderr, "rrmp-sim: -shards %d with the legacy loss stream runs serial; use -loss-mode hash for shard-safe loss\n", a.shards)
 		}

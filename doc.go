@@ -21,8 +21,8 @@
 //
 // All time is virtual (a deterministic discrete-event simulator): runs are
 // exactly reproducible from a seed, and two identical runs produce
-// identical packet interleavings. The identical protocol code also runs on
-// real UDP sockets via internal/udptransport.
+// identical packet interleavings. The protocol code sees time only through
+// the clock.Scheduler interface, so it is not tied to the simulator.
 //
 // # Reproducing the paper
 //

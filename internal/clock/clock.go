@@ -3,9 +3,8 @@
 //
 // The protocol engine and buffer manager never read the wall clock or call
 // time.AfterFunc directly; they only use a Scheduler. The simulator binds
-// Scheduler to virtual time (internal/sim), while the UDP transport binds it
-// to real time (internal/udptransport). This is what lets the exact same
-// protocol code run both in deterministic experiments and on real sockets.
+// Scheduler to virtual time (internal/sim). It is the one seam a real-time
+// binding would implement; the protocol code itself need not change.
 package clock
 
 import "time"

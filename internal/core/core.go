@@ -115,7 +115,7 @@ type Entry struct {
 type Config struct {
 	// Policy decides retention; use NewTwoPhase for the paper's algorithm.
 	Policy Policy
-	// Sched supplies time and timers (virtual in simulation, real on UDP).
+	// Sched supplies time and timers (virtual in simulation).
 	Sched clock.Scheduler
 	// Rng drives randomized election. Required by randomized policies.
 	Rng *rng.Source

@@ -114,7 +114,7 @@ type Scenario struct {
 	Workload *workload.Spec `json:"workload,omitempty"`
 	// Shards is an execution knob, not part of the cell's identity: run
 	// the trial on up to this many region-sharded event loops (<= 1 means
-	// the serial engine). Aggregates are byte-identical at any value — the
+	// width 1). Aggregates are byte-identical at any value — the
 	// same contract as Options.Parallel — so it is excluded from JSON and
 	// from Name.
 	Shards int `json:"-"`

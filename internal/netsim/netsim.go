@@ -12,16 +12,16 @@
 // (handlers, crash flags, partition classes) lives in dense slices indexed
 // by NodeID, traffic counters are fixed per-type arrays, in-flight packets
 // are pooled delivery records with a pre-bound callback, and events are
-// scheduled through the scheduler's no-handle Post path when available.
-// Steady-state packet delivery therefore allocates nothing.
+// scheduled through the engine's no-handle PostFrom path. Steady-state
+// packet delivery therefore allocates nothing.
 package netsim
 
 import (
 	"fmt"
 	"time"
 
-	"repro/internal/clock"
 	"repro/internal/rng"
+	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/wire"
@@ -57,26 +57,10 @@ type LossModel interface {
 	Drop(from, to topology.NodeID, t wire.Type) bool
 }
 
-// poster is the optional scheduler fast path: schedule without returning a
-// cancellation handle (packet deliveries are never cancelled). The
-// simulator's *sim.Sim implements it; any other clock.Scheduler falls back
-// to After with the handle discarded.
-type poster interface {
-	Post(d time.Duration, fn func())
-}
-
-// ShardRouter is the sharded simulator's delivery primitive: schedule fn
-// after d on the event loop owning node to, sent from node from's context.
-// *sim.Sharded implements it; EnableSharding routes all deliveries through
-// it instead of the plain post path.
-type ShardRouter interface {
-	PostFrom(from, to int32, d time.Duration, fn func())
-}
-
-// Network delivers packets between registered nodes over a clock.Scheduler.
+// Network delivers packets between registered nodes over a simulation
+// engine.
 type Network struct {
-	sched   clock.Scheduler
-	post    func(d time.Duration, fn func())
+	eng     *sim.Sim
 	latency LatencyModel
 	loss    LossModel
 
@@ -87,7 +71,6 @@ type Network struct {
 	handlers  []Handler
 	receivers []PacketReceiver
 	down      []bool
-	stats     Stats
 	// partition assigns each node a partition class; packets between
 	// different classes vanish. partActive gates the check so the
 	// partition-free hot path pays a single predictable branch. Nodes
@@ -95,21 +78,18 @@ type Network struct {
 	partition  []int32
 	partActive bool
 
-	// pool recycles delivery records; each carries a pre-bound callback so
-	// scheduling an in-flight packet allocates nothing in steady state.
-	pool []*delivery
-
-	// Sharded-execution state (nil/empty unless EnableSharding ran).
-	// shardOf maps NodeID -> shard; counters and pools become per-shard so
-	// concurrent shard loops never touch one counter or free list: sends
-	// account to (and allocate from) the sending node's shard, deliveries
-	// account to (and recycle into) the receiving node's shard, and each
-	// shard's state is only ever touched by its own loop or by the
+	// Traffic counters and delivery-record pools are per engine lane, so
+	// concurrent lane loops never touch one counter or free list: sends
+	// account to (and allocate from) the sending node's lane, deliveries
+	// account to (and recycle into) the receiving node's lane, and each
+	// lane's state is only ever touched by its own loop or by the
 	// coordinator between windows. Records migrate between pools on
-	// cross-shard packets, which is safe for the same reason.
-	router  ShardRouter
+	// cross-lane packets, which is safe for the same reason. shardOf maps
+	// NodeID -> lane; it is nil at width 1, where everything is lane 0.
+	// Each pooled record carries a pre-bound callback, so scheduling an
+	// in-flight packet allocates nothing in steady state.
 	shardOf []int32
-	shStats []Stats
+	stats   []Stats
 	pools   [][]*delivery
 	merged  Stats
 }
@@ -170,26 +150,35 @@ func (s *Stats) TotalBytes() int64 {
 	return n
 }
 
-// New creates a network over the given scheduler with the given models.
-// A nil loss model means lossless.
-func New(sched clock.Scheduler, latency LatencyModel, loss LossModel) *Network {
+// New creates a network over the given engine with the given models; it
+// reads the engine's lane map once, so build it before any traffic. A nil
+// loss model means lossless. At width ≥ 2 every randomized model must be
+// shard-safe (see HashLoss). The down/partition tables are shared across
+// lanes — they are only mutated by barrier-executed fault events, which the
+// engine serializes against all lane loops.
+func New(eng *sim.Sim, latency LatencyModel, loss LossModel) *Network {
 	if latency == nil {
 		panic("netsim: nil latency model")
 	}
 	if loss == nil {
 		loss = NoLoss{}
 	}
-	n := &Network{
-		sched:   sched,
+	return &Network{
+		eng:     eng,
 		latency: latency,
 		loss:    loss,
+		shardOf: eng.NodeShards(),
+		stats:   make([]Stats, eng.Shards()),
+		pools:   make([][]*delivery, eng.Shards()),
 	}
-	if p, ok := sched.(poster); ok {
-		n.post = p.Post
-	} else {
-		n.post = func(d time.Duration, fn func()) { sched.After(d, fn) }
+}
+
+// laneOf returns the engine lane owning node.
+func (n *Network) laneOf(node topology.NodeID) int32 {
+	if n.shardOf == nil {
+		return 0
 	}
-	return n
+	return n.shardOf[node]
 }
 
 // grow extends the dense per-node slices to cover node.
@@ -302,32 +291,16 @@ func (n *Network) Partitioned(a, b topology.NodeID) bool {
 	return n.classOf(a) != n.classOf(b)
 }
 
-// EnableSharding switches the network onto a sharded simulator: deliveries
-// route through r (landing on the shard loop owning the destination node)
-// and traffic accounting splits per shard. Call it once, before any
-// traffic, with shardOf covering every node. The down/partition tables stay
-// shared — they are only mutated by barrier-executed fault events, which
-// the sharded engine serializes against all shard loops.
-func (n *Network) EnableSharding(r ShardRouter, shardOf []int32, shards int) {
-	if r == nil || shards < 1 {
-		panic("netsim: EnableSharding with nil router or no shards")
-	}
-	n.router = r
-	n.shardOf = shardOf
-	n.shStats = make([]Stats, shards)
-	n.pools = make([][]*delivery, shards)
-}
-
-// Stats returns the traffic counters. Unsharded this is a live view; when
-// sharding is enabled it is a snapshot merged across shards, recomputed on
-// every call (call it only between runs).
+// Stats returns the traffic counters. At width 1 this is a live view; at
+// width ≥ 2 it is a snapshot merged across lanes, recomputed on every call
+// (call it only between runs).
 func (n *Network) Stats() *Stats {
-	if n.shardOf == nil {
-		return &n.stats
+	if len(n.stats) == 1 {
+		return &n.stats[0]
 	}
-	n.merged = n.stats
-	for i := range n.shStats {
-		n.merged.add(&n.shStats[i])
+	n.merged = Stats{}
+	for i := range n.stats {
+		n.merged.add(&n.stats[i])
 	}
 	return &n.merged
 }
@@ -343,22 +316,9 @@ func (s *Stats) add(o *Stats) {
 	s.Partitioned.Add(o.Partitioned.Value())
 }
 
-// getDelivery takes a pooled delivery record, or builds one with its
-// callback pre-bound.
-func (n *Network) getDelivery() *delivery {
-	if k := len(n.pool); k > 0 {
-		d := n.pool[k-1]
-		n.pool[k-1] = nil
-		n.pool = n.pool[:k-1]
-		return d
-	}
-	d := &delivery{n: n}
-	d.fn = d.fire
-	return d
-}
-
-// getDeliveryShard is getDelivery against the sending shard's pool.
-func (n *Network) getDeliveryShard(shard int32) *delivery {
+// getDelivery takes a delivery record from the sending lane's pool, or
+// builds one with its callback pre-bound.
+func (n *Network) getDelivery(shard int32) *delivery {
 	pool := n.pools[shard]
 	if k := len(pool); k > 0 {
 		d := pool[k-1]
@@ -379,16 +339,11 @@ func (n *Network) getDeliveryShard(shard int32) *delivery {
 func (d *delivery) fire() {
 	n, from, to, msg, size := d.n, d.from, d.to, d.msg, d.size
 	d.msg = wire.Message{} // drop payload references while pooled
-	st := &n.stats
-	if n.shardOf == nil {
-		n.pool = append(n.pool, d)
-	} else {
-		// Delivery runs on the receiving node's shard loop: recycle into
-		// and account against that shard's state.
-		sh := n.shardOf[to]
-		n.pools[sh] = append(n.pools[sh], d)
-		st = &n.shStats[sh]
-	}
+	// Delivery runs on the receiving node's lane: recycle into and account
+	// against that lane's state.
+	sh := n.laneOf(to)
+	n.pools[sh] = append(n.pools[sh], d)
+	st := &n.stats[sh]
 
 	ti := int(msg.Type) % wire.TypeCount
 	if n.partActive && n.classOf(from) != n.classOf(to) {
@@ -425,15 +380,10 @@ func (d *delivery) fire() {
 func (n *Network) Unicast(from, to topology.NodeID, msg wire.Message) {
 	size := msg.EncodedSize()
 	ti := int(msg.Type) % wire.TypeCount
-	st := &n.stats
-	var sendShard int32
-	if n.shardOf != nil {
-		// Send runs on the sending node's shard loop (or the coordinator,
-		// which is exclusive): account against that shard's state. The
-		// loss model must likewise be shard-safe here (see HashLoss).
-		sendShard = n.shardOf[from]
-		st = &n.shStats[sendShard]
-	}
+	// Send runs on the sending node's lane (or the coordinator, which is
+	// exclusive): account against that lane's state.
+	sendShard := n.laneOf(from)
+	st := &n.stats[sendShard]
 	st.sent[ti].Inc()
 	st.bytes[ti].Add(int64(size))
 	if n.partActive && n.classOf(from) != n.classOf(to) {
@@ -445,17 +395,9 @@ func (n *Network) Unicast(from, to topology.NodeID, msg wire.Message) {
 		st.dropped[ti].Inc()
 		return
 	}
-	lat := n.latency.OneWay(from, to)
-	var d *delivery
-	if n.shardOf != nil {
-		d = n.getDeliveryShard(sendShard)
-		d.from, d.to, d.msg, d.size = from, to, msg, size
-		n.router.PostFrom(int32(from), int32(to), lat, d.fn)
-		return
-	}
-	d = n.getDelivery()
+	d := n.getDelivery(sendShard)
 	d.from, d.to, d.msg, d.size = from, to, msg, size
-	n.post(lat, d.fn)
+	n.eng.PostFrom(int32(from), int32(to), n.latency.OneWay(from, to), d.fn)
 }
 
 // Multicast sends msg from -> each target with independent latency and loss

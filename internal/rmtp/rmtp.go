@@ -128,11 +128,12 @@ type Metrics struct {
 	BufferingTime stats.Histogram
 }
 
-// poster is the scheduler fast path netsim also uses: schedule with no
-// cancellation handle. NAK retries ride it so re-arming the loop never
-// allocates a timer wrapper; stale fires are rejected by identity checks.
+// poster is the engine's delivery path netsim also uses: schedule with no
+// cancellation handle (*sim.Sim implements it). NAK retries ride it,
+// posted from the node to itself, so re-arming the loop never allocates a
+// timer wrapper; stale fires are rejected by identity checks.
 type poster interface {
-	Post(d time.Duration, fn func())
+	PostFrom(from, to int32, d time.Duration, fn func())
 }
 
 // nakState is one in-flight NAK retry loop. fire is bound once at creation
@@ -218,7 +219,8 @@ func New(cfg Config) *Node {
 		unrecovered: make(map[uint64]bool),
 	}
 	if ps, ok := cfg.Sched.(poster); ok {
-		n.post = ps.Post
+		self := int32(cfg.Self)
+		n.post = func(d time.Duration, fn func()) { ps.PostFrom(self, self, d, fn) }
 	} else {
 		n.post = func(d time.Duration, fn func()) { cfg.Sched.After(d, fn) }
 	}
@@ -638,7 +640,7 @@ func (n *Node) ForgetAcker(who topology.NodeID) {
 }
 
 // stopProtocolTimers halts the ACK loop (without clearing acksStarted) and
-// abandons every NAK loop. Pending Post-scheduled retries become stale and
+// abandons every NAK loop. Pending posted retries become stale and
 // are rejected by the nakState identity check.
 func (n *Node) stopProtocolTimers() {
 	if n.ackTimer != nil {

@@ -7,9 +7,7 @@
 // A Member is a single-threaded state machine driven by Receive (incoming
 // PDUs) and timers from an injected clock.Scheduler. It performs I/O only
 // through the Transport interface. In simulation, thousands of members run
-// interleaved on one goroutine over virtual time; on real networks each
-// member runs on its own executor goroutine (internal/udptransport). The
-// member code is identical in both bindings.
+// interleaved on each engine lane over virtual time.
 package rrmp
 
 import (
@@ -43,7 +41,7 @@ const (
 
 // Transport lets a member send PDUs. Implementations must deliver
 // asynchronously (never call back into the member synchronously from Send),
-// which both the simulator and the UDP binding guarantee.
+// which the simulated network guarantees.
 type Transport interface {
 	// Send transmits msg to one peer.
 	Send(to topology.NodeID, msg wire.Message)
@@ -292,12 +290,16 @@ func (m *Member) onSuspect(n topology.NodeID) {
 			delete(m.knownBufferer, id)
 		}
 	}
-	m.trace("SUSPECT", fmt.Sprintf("peer=%d", n))
+	if m.tracing() {
+		m.trace("SUSPECT", fmt.Sprintf("peer=%d", n))
+	}
 }
 
 func (m *Member) onRestore(n topology.NodeID) {
 	m.metrics.Restores.Inc()
-	m.trace("RESTORE", fmt.Sprintf("peer=%d", n))
+	if m.tracing() {
+		m.trace("RESTORE", fmt.Sprintf("peer=%d", n))
+	}
 }
 
 // peerLive reports whether the failure detector considers n alive. With
@@ -500,7 +502,9 @@ func (m *Member) Receive(from topology.NodeID, msg wire.Message) {
 		}
 	default:
 		// Unknown/baseline-only PDUs are ignored by the RRMP engine.
-		m.trace("IGNORE", fmt.Sprintf("type=%v from=%d", msg.Type, from))
+		if m.tracing() {
+			m.trace("IGNORE", fmt.Sprintf("type=%v from=%d", msg.Type, from))
+		}
 	}
 }
 
@@ -583,7 +587,9 @@ func (m *Member) onHandoff(_ topology.NodeID, msg wire.Message) {
 		m.deliver(id, msg.Payload, msg.From)
 	}
 	m.buf.StoreLongTerm(id, msg.Payload)
-	m.trace("HANDOFF-RECV", id.String())
+	if m.tracing() {
+		m.trace("HANDOFF-RECV", id.String())
+	}
 }
 
 // deliver records a received message, stores it per the buffering policy,
@@ -600,7 +606,9 @@ func (m *Member) deliver(id wire.MessageID, payload []byte, from topology.NodeID
 
 	m.buf.Store(id, payload)
 	m.metrics.Delivered.Inc()
-	m.trace("DELIVER", fmt.Sprintf("id=%v from=%d", id, from))
+	if m.tracing() {
+		m.trace("DELIVER", fmt.Sprintf("id=%v from=%d", id, from))
+	}
 
 	// Complete an in-flight recovery.
 	if rec, ok := m.recoveries[id]; ok {
@@ -686,7 +694,9 @@ func (m *Member) scheduleRegionalMulticast(id wire.MessageID, payload []byte) {
 
 func (m *Member) regionalMulticast(id wire.MessageID, payload []byte) {
 	m.metrics.RegionalMulticasts.Inc()
-	m.trace("REGION-MC", id.String())
+	if m.tracing() {
+		m.trace("REGION-MC", id.String())
+	}
 	msg := wire.Message{Type: wire.TypeRepair, From: m.self, ID: id, Payload: payload}
 	for i, p := range m.cfg.View.RegionMembers {
 		if i == m.cfg.View.SelfIdx {
@@ -725,7 +735,9 @@ func (m *Member) Leave() {
 		}
 		to := pickPeer(m.cfg.Rng, peers, selfIdx)
 		m.metrics.HandoffsSent.Inc()
-		m.trace("HANDOFF-SEND", fmt.Sprintf("id=%v to=%d", e.ID, to))
+		if m.tracing() {
+			m.trace("HANDOFF-SEND", fmt.Sprintf("id=%v to=%d", e.ID, to))
+		}
 		m.cfg.Transport.Send(to, wire.Message{
 			Type:     wire.TypeHandoff,
 			From:     m.self,
@@ -848,8 +860,12 @@ func (m *Member) Unrecovered() []wire.MessageID {
 	return out
 }
 
+// tracing reports whether trace events are recorded. Sites with a
+// formatted detail check it first, so disabled tracing builds no strings.
+func (m *Member) tracing() bool { return m.cfg.Tracer.Enabled() }
+
 func (m *Member) trace(kind, detail string) {
-	if !m.cfg.Tracer.Enabled() {
+	if !m.tracing() {
 		return
 	}
 	m.cfg.Tracer.Emit(trace.Event{At: m.cfg.Sched.Now(), Node: m.self, Kind: kind, Detail: detail})

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/rng"
@@ -48,16 +47,16 @@ type ClusterConfig struct {
 	// BufferIndex selects every member's buffer index implementation
 	// (tests run the legacy map side by side with the dense default).
 	BufferIndex core.IndexKind
-	// Shards > 1 runs the trial on the region-sharded parallel engine
-	// (sim.Sharded): regions are packed into at most Shards contiguous
+	// Shards > 1 runs the trial on up to that many engine lanes
+	// (sim.NewSharded): regions are packed into at most Shards contiguous
 	// blocks and each block gets its own event loop. Aggregates stay
-	// byte-identical to the single-loop engine at any shard count, but
-	// every randomized model in play must be shard-safe: loss must be nil
-	// or per-sender (netsim.HashLoss) — RunScenario gates this
-	// automatically, direct Cluster users must themselves.
+	// byte-identical to width 1 at any shard count, but every randomized
+	// model in play must be shard-safe: loss must be nil or per-sender
+	// (netsim.HashLoss) — RunScenario gates this automatically, direct
+	// Cluster users must themselves.
 	Shards int
-	// Lookahead bounds the sharded engine's conservative windows and must
-	// not exceed the minimum cross-region packet latency. It defaults to
+	// Lookahead bounds the engine's conservative windows and must not
+	// exceed the minimum cross-region packet latency. It defaults to
 	// InterOneWay under the default hierarchical latency model; a custom
 	// Latency with Shards > 1 must set it explicitly.
 	Lookahead time.Duration
@@ -65,12 +64,9 @@ type ClusterConfig struct {
 
 // Cluster is a fully wired simulated deployment.
 type Cluster struct {
-	// Engine drives the simulation; it is always set. Sim aliases it when
-	// the cluster runs the serial engine (the default), so legacy callers
-	// keep their richer *sim.Sim surface; it is nil on a sharded cluster.
-	Engine  sim.Engine
-	Sim     *sim.Sim
-	Sharded *sim.Sharded // non-nil iff the cluster runs sharded
+	// Engine drives the simulation, at width 1 unless Shards asked for
+	// (and the topology allowed) more lanes.
+	Engine  *sim.Sim
 	Net     *netsim.Network
 	Topo    *topology.Topology
 	Members []*rrmp.Member // indexed by dense NodeID
@@ -91,12 +87,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		lat = netsim.HierLatency{Topo: cfg.Topo, IntraOneWay: IntraOneWay, InterOneWay: InterOneWay}
 	}
 
-	var (
-		eng       sim.Engine
-		serial    *sim.Sim
-		sharded   *sim.Sharded
-		nodeShard []int32
-	)
+	eng := sim.New()
 	if cfg.Shards > 1 {
 		look := cfg.Lookahead
 		if look <= 0 {
@@ -108,32 +99,17 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			// region, so InterOneWay bounds all cross-shard latency.
 			look = InterOneWay
 		}
-		var eff int
-		nodeShard, eff = cfg.Topo.NodeShards(cfg.Shards)
-		if eff > 1 {
-			var err error
-			sharded, err = sim.NewSharded(eff, nodeShard, look)
-			if err != nil {
-				return nil, fmt.Errorf("runner: %w", err)
-			}
-			eng = sharded
+		nodeShard, eff := cfg.Topo.NodeShards(cfg.Shards)
+		var err error
+		if eng, err = sim.NewSharded(eff, nodeShard, look); err != nil {
+			return nil, fmt.Errorf("runner: %w", err)
 		}
 	}
-	if eng == nil {
-		serial = sim.New()
-		eng = serial
-	}
-
 	net := netsim.New(eng, lat, cfg.Loss)
-	if sharded != nil {
-		net.EnableSharding(sharded, nodeShard, sharded.Shards())
-	}
 	root := rng.New(cfg.Seed)
 
 	c := &Cluster{
 		Engine:  eng,
-		Sim:     serial,
-		Sharded: sharded,
 		Net:     net,
 		Topo:    cfg.Topo,
 		Members: make([]*rrmp.Member, cfg.Topo.NumNodes()),
@@ -168,16 +144,12 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		if cfg.Hooks != nil {
 			hooks = cfg.Hooks(n)
 		}
-		sched := clock.Scheduler(eng)
-		if sharded != nil {
-			sched = sharded.Clock(nodeShard[n])
-		}
 		transports[n] = rrmp.NetTransport{Net: net, Self: n, Group: c.All}
 		root.SplitInto(memberStreamBase+uint64(n), &sources[n])
 		m := rrmp.NewMember(rrmp.Config{
 			View:        view,
 			Transport:   &transports[n],
-			Sched:       sched,
+			Sched:       eng.Clock(int32(n)),
 			Rng:         &sources[n],
 			Params:      cfg.Params,
 			Policy:      policy,

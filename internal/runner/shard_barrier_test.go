@@ -41,8 +41,8 @@ func TestBarrierBoundaryFaultCut(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if shards > 1 && c.Sharded == nil {
-			t.Fatalf("shards=%d: cluster fell back to the serial engine", shards)
+		if shards > 1 && c.Engine.Shards() == 1 {
+			t.Fatalf("shards=%d: cluster ran at width 1", shards)
 		}
 		c.Sender.StartSessions()
 

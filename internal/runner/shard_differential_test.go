@@ -21,8 +21,8 @@ func envShards(def int) int {
 	return def
 }
 
-// shardWidths are the widths every differential case compares against the
-// serial engine. An RRMP_SHARDS override joins the list so the CI matrix
+// shardWidths are the widths every differential case compares against
+// width 1. An RRMP_SHARDS override joins the list so the CI matrix
 // width is always among the proven-equivalent ones.
 func shardWidths() []int {
 	widths := []int{2, 8}

@@ -168,11 +168,10 @@ func scenarioLoss(sc exp.Scenario, seed uint64, nNodes int) (netsim.LossModel, e
 
 // effectiveShards gates a scenario's Shards knob on shard safety: the
 // legacy loss models draw from one rng stream in global send order, which
-// only a single loop reproduces, so scenarios using them fall back to
-// serial execution (where byte-identity to the serial engine is trivial).
-// Lossless and hash-mode scenarios — Bernoulli (HashLoss) and burst
-// (HashBurstLoss) alike — run genuinely parallel. The rmtp kernel is its
-// own serial baseline and never shards.
+// only a single loop reproduces, so scenarios using them run at width 1
+// (where byte-identity is trivial). Lossless and hash-mode scenarios —
+// Bernoulli (HashLoss) and burst (HashBurstLoss) alike — run genuinely
+// parallel. The rmtp kernel always runs at width 1.
 func effectiveShards(sc exp.Scenario) int {
 	if sc.Shards <= 1 {
 		return 1
@@ -206,7 +205,7 @@ type faultInjector struct {
 // cells, so their candidate lists keep their historical order); the sender
 // is excluded regardless. The returned counters are live — read them
 // after the run.
-func scheduleScenarioFaults(c sim.Engine, net *netsim.Network, topo *topology.Topology,
+func scheduleScenarioFaults(c *sim.Sim, net *netsim.Network, topo *topology.Topology,
 	all []topology.NodeID, sc exp.Scenario, seed uint64,
 	protected []topology.NodeID, inj faultInjector) (leaves, crashes *int) {
 	leaves, crashes = new(int), new(int)

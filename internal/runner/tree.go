@@ -27,7 +27,7 @@ type TreeClusterConfig struct {
 
 // TreeCluster is a fully wired tree-protocol deployment.
 type TreeCluster struct {
-	Sim    *sim.Sim
+	Engine *sim.Sim
 	Net    *netsim.Network
 	Topo   *topology.Topology
 	Nodes  []*rmtp.Node // indexed by dense NodeID
@@ -91,7 +91,7 @@ func NewTreeCluster(cfg TreeClusterConfig) (*TreeCluster, error) {
 	net := netsim.New(s, lat, cfg.Loss)
 	root := rng.New(cfg.Seed)
 
-	c := &TreeCluster{Sim: s, Net: net, Topo: topo, Nodes: make([]*rmtp.Node, topo.NumNodes())}
+	c := &TreeCluster{Engine: s, Net: net, Topo: topo, Nodes: make([]*rmtp.Node, topo.NumNodes())}
 	serverOf := func(r topology.RegionID) topology.NodeID { return topo.MemberAt(r, 0) }
 	childServers := make(map[topology.RegionID][]topology.NodeID)
 	for r := 0; r < topo.NumRegions(); r++ {
@@ -153,9 +153,9 @@ func RunBoth(topo *topology.Topology, msgs int, gap time.Duration, seed uint64, 
 		return nil, nil, err
 	}
 	for i := 0; i < msgs; i++ {
-		c.Sim.At(time.Duration(i)*gap, func() { c.Sender.Publish(payload) })
+		c.Engine.At(time.Duration(i)*gap, func() { c.Sender.Publish(payload) })
 	}
-	c.Sim.RunUntil(horizon)
+	c.Engine.RunUntil(horizon)
 
 	t, err := NewTreeCluster(TreeClusterConfig{Topo: topo, Seed: seed})
 	if err != nil {
@@ -165,8 +165,8 @@ func RunBoth(topo *topology.Topology, msgs int, gap time.Duration, seed uint64, 
 		n.StartAcks()
 	}
 	for i := 0; i < msgs; i++ {
-		t.Sim.At(time.Duration(i)*gap, func() { t.Sender.Publish(payload) })
+		t.Engine.At(time.Duration(i)*gap, func() { t.Sender.Publish(payload) })
 	}
-	t.Sim.RunUntil(horizon)
+	t.Engine.RunUntil(horizon)
 	return c, t, nil
 }

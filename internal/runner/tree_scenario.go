@@ -47,7 +47,7 @@ func runTreeScenario(sc exp.Scenario, seed uint64, timeline workload.Timeline) (
 
 	params := rmtp.DefaultParams()
 	params.ByteBudget = sc.ByteBudget
-	// The rmtp baseline always runs the serial engine (Scenario.Shards is
+	// The rmtp baseline always runs at width 1 (Scenario.Shards is
 	// ignored here): it exists as a reference kernel, not a scale target,
 	// and its shared-stream loss draws are not shard-safe anyway.
 	loss, err := scenarioLoss(sc, seed, topo.NumNodes())
@@ -89,8 +89,8 @@ func runTreeScenario(sc exp.Scenario, seed uint64, timeline workload.Timeline) (
 	joiners := lateJoinersFor(topo, sc.Workload, pubs)
 	for _, j := range joiners {
 		j := j
-		c.Sim.At(0, func() { c.Crash(j.node) })
-		c.Sim.At(j.at, func() { c.Recover(j.node) })
+		c.Engine.At(0, func() { c.Crash(j.node) })
+		c.Engine.At(j.at, func() { c.Recover(j.node) })
 	}
 
 	ids := make([]wire.MessageID, 0, len(tl))
@@ -98,7 +98,7 @@ func runTreeScenario(sc exp.Scenario, seed uint64, timeline workload.Timeline) (
 	payloadBuf := make([]byte, tl.MaxBytes())
 	for i := range tl {
 		ev := tl[i]
-		c.Sim.At(ev.At, func() {
+		c.Engine.At(ev.At, func() {
 			ids = append(ids, c.Sender.Publish(payloadBuf[:ev.Bytes]))
 		})
 	}
@@ -107,21 +107,21 @@ func runTreeScenario(sc exp.Scenario, seed uint64, timeline workload.Timeline) (
 	// cell injects the identical churn/crash/partition sequence under
 	// both protocols (the victims differ only in what failing *means*:
 	// no handoff protocol, frozen ACK floors, orphaned regions).
-	leaves, crashes := scheduleScenarioFaults(c.Sim, c.Net, topo, c.All, sc, seed, pubs, faultInjector{
+	leaves, crashes := scheduleScenarioFaults(c.Engine, c.Net, topo, c.All, sc, seed, pubs, faultInjector{
 		excused: func(v topology.NodeID) bool { return c.Nodes[v].Left() || c.Nodes[v].Crashed() },
 		leave:   c.Leave,
 		crash:   c.Crash,
 		recover: c.Recover,
 	})
 
-	c.Sim.RunUntil(sc.Horizon)
+	c.Engine.RunUntil(sc.Horizon)
 
 	n := topo.NumNodes()
 	out := map[string]float64{
 		MKLeaves:      float64(*leaves),
 		MKPacketsSent: float64(c.Net.Stats().TotalSent()),
 		MKBytesSent:   float64(c.Net.Stats().TotalBytes()),
-		MKEvents:      float64(c.Sim.Processed()),
+		MKEvents:      float64(c.Engine.Processed()),
 	}
 	var delivered, duplicates, repairs int64
 	var nakSent, nakRecv, ackSent, ackRecv, giveUps, unrecoverable int64
@@ -140,8 +140,8 @@ func runTreeScenario(sc exp.Scenario, seed uint64, timeline workload.Timeline) (
 		ackRecv += mm.AcksRecv.Value()
 		giveUps += mm.GiveUps.Value()
 		if b := node.Buffer(); b != nil {
-			bufferIntegral += b.OccupancyIntegral(c.Sim.Now())
-			byteIntegral += b.ByteOccupancyIntegral(c.Sim.Now())
+			bufferIntegral += b.OccupancyIntegral(c.Engine.Now())
+			byteIntegral += b.ByteOccupancyIntegral(c.Engine.Now())
 			if p := b.PeakLen(); p > peak {
 				peak = p
 			}

@@ -9,19 +9,19 @@ import (
 )
 
 // The shard-merge differential harness: a synthetic event program — a pure
-// function of the fuzz input — runs once on the serial engine and once on
-// the sharded engine (one node per shard, so every cross-node interaction
-// is a cross-shard interaction). Every event carries the extended ordering
-// key the sharded engine sorts by: (at, pushAt, src) plus per-context push
-// order. The oracle asserts the engine's documented merge contract against
-// the serial timeline — same-tick ties, zero-delay same-shard chains and
-// barrier-edge timestamps included:
+// function of the fuzz input — runs once at width 1 (the serial oracle) and
+// once on several lanes (one node per lane, so every cross-node interaction
+// is a cross-lane interaction). Every event carries the extended ordering
+// key the lanes sort by: (at, pushAt, src) plus per-context push order. The
+// oracle asserts the engine's documented merge contract against the width-1
+// timeline — same-tick ties, zero-delay same-lane chains and barrier-edge
+// timestamps included:
 //
-//  1. every lane executes exactly the serial run's events for that lane,
+//  1. every lane executes exactly the width-1 run's events for that lane,
 //     with identical (at, pushAt, src) keys (nothing lost, duplicated, or
 //     time-shifted);
 //  2. each lane's execution order is nondecreasing in the extended key, so
-//     wherever keys differ the serial (time, insertion) order is
+//     wherever keys differ the width-1 (time, insertion) order is
 //     reproduced exactly;
 //  3. inside a full-key tie group, one parent's pushes keep their push
 //     order (per-context insertion order is preserved);
@@ -29,8 +29,8 @@ import (
 //     (goroutine scheduling never leaks into the merge).
 //
 // Pushes from *different* contexts at identical (at, pushAt) order by the
-// fixed context index rather than the serial global sequence — the one
-// documented divergence (see the package comment in sharded.go); the
+// fixed context index rather than width 1's global sequence — the one
+// documented divergence (see the package comment); the
 // runner-level differential suite proves it never changes protocol bytes.
 // This harness proves the merge machinery deterministic and key-faithful.
 
@@ -65,29 +65,6 @@ type evrec struct {
 	lane   int32 // executing lane; -1 = coordinator/global
 }
 
-// mergeEngine abstracts the two engines for the shared program driver.
-type mergeEngine interface {
-	at(at time.Duration, fn func())
-	postFrom(from, to int32, d time.Duration, fn func())
-	run()
-}
-
-type serialMergeEngine struct{ s *Sim }
-
-func (e serialMergeEngine) at(at time.Duration, fn func()) { e.s.At(at, fn) }
-func (e serialMergeEngine) postFrom(_, _ int32, d time.Duration, fn func()) {
-	e.s.Post(d, fn)
-}
-func (e serialMergeEngine) run() { e.s.Run() }
-
-type shardedMergeEngine struct{ e *Sharded }
-
-func (e shardedMergeEngine) at(at time.Duration, fn func()) { e.e.At(at, fn) }
-func (e shardedMergeEngine) postFrom(from, to int32, d time.Duration, fn func()) {
-	e.e.PostFrom(from, to, d, fn)
-}
-func (e shardedMergeEngine) run() { e.e.Run() }
-
 // mix is the splitmix64 finalizer: the program's behavior generator.
 func mix(z uint64) uint64 {
 	z += 0x9e3779b97f4a7c15
@@ -109,7 +86,7 @@ func mix(z uint64) uint64 {
 // too. Branching ≤ 2 and depth ≤ mergeMaxDepth bound the program
 // structurally (no runtime event cap that could bite engines in different
 // orders). Index 0 is the coordinator's (lane -1) log.
-func runMergeProg(eng mergeEngine, prog mergeProg) [][]evrec {
+func runMergeProg(eng *Sim, prog mergeProg) [][]evrec {
 	logs := make([][]evrec, prog.shards+1)
 	var fire func(r evrec, depth int)
 	schedule := func(parentLabel uint64, from int32, now time.Duration, depth int) {
@@ -165,7 +142,7 @@ func runMergeProg(eng mergeEngine, prog mergeProg) [][]evrec {
 				src:    from,
 				lane:   to,
 			}
-			eng.postFrom(from, to, d, fireClosure(&fire, child, depth+1))
+			eng.PostFrom(from, to, d, fireClosure(&fire, child, depth+1))
 		}
 	}
 	fire = func(r evrec, depth int) {
@@ -175,15 +152,15 @@ func runMergeProg(eng mergeEngine, prog mergeProg) [][]evrec {
 	for i, r := range prog.roots {
 		label := uint64(i+1) << 40
 		r := r
-		eng.at(r.at, func() {
-			// Roots run on the coordinator (serial: the driver's own
+		eng.At(r.at, func() {
+			// Roots run on the coordinator (width 1: the driver's own
 			// events), pushed during setup: key (at, insertion order).
 			logs[0] = append(logs[0], evrec{label: label, at: r.at, src: coordinatorSrc, lane: -1})
 			// Their children are barrier-context pushes from src -1.
 			schedule(label, coordinatorSrc, r.at, 0)
 		})
 	}
-	eng.run()
+	eng.Run()
 	return logs
 }
 
@@ -226,7 +203,7 @@ func mergeParent(label uint64) (parent uint64, idx int, ok bool) {
 func checkMergeProg(t *testing.T, prog mergeProg) {
 	t.Helper()
 
-	serial := runMergeProg(serialMergeEngine{New()}, prog)
+	serial := runMergeProg(New(), prog)
 
 	shardedRun := func() [][]evrec {
 		t.Helper()
@@ -238,7 +215,7 @@ func checkMergeProg(t *testing.T, prog mergeProg) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return runMergeProg(shardedMergeEngine{sh}, prog)
+		return runMergeProg(sh, prog)
 	}
 	sharded := shardedRun()
 
@@ -349,9 +326,9 @@ func parseMergeProg(data []byte) (mergeProg, bool) {
 	return prog, len(prog.roots) > 0
 }
 
-// FuzzShardMerge feeds arbitrary cross-shard event timelines through both
-// engines and requires the sharded merge to reproduce the serial (time,
-// insertion) order on every lane.
+// FuzzShardMerge feeds arbitrary cross-lane event timelines through width 1
+// and several lanes and requires the lane merge to reproduce the width-1
+// (time, insertion) order on every lane.
 func FuzzShardMerge(f *testing.F) {
 	f.Add([]byte{2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 5, 2, 5, 3})
 	f.Add([]byte{0, 42, 0, 0, 0, 0, 0, 0, 0, 10, 0, 10, 1, 20, 0, 20, 1, 30, 2})

@@ -1,186 +1,553 @@
-// Package sim implements a deterministic discrete-event simulation kernel.
+// Package sim implements the deterministic discrete-event simulation
+// engine every experiment runs on.
 //
-// A Sim owns a virtual clock and an ordered event queue (internal/eventq).
+// A Sim owns a virtual clock and ordered event queues (internal/eventq).
 // All protocol work — packet deliveries, retransmission timers, idle-buffer
 // timers — is expressed as events. Running the simulation pops events in
-// (time, insertion) order and advances the clock to each event's timestamp,
-// so an arbitrarily large multicast group simulates on one goroutine with
-// perfectly reproducible interleavings.
+// (time, insertion) order and advances the clock to each event's
+// timestamp, so every run is exactly reproducible from its inputs.
+//
+// One engine type runs at any width. New returns width 1: every event —
+// driver event, member timer, packet delivery — lives on one global queue
+// that RunUntil pops in plain (time, insertion) order on the caller's
+// goroutine, with no windows, goroutines, outboxes or locks.
+//
+// NewSharded returns an engine of n lanes: one trial runs n event loops,
+// each owning the members of one or more regions, synchronized by
+// conservative-lookahead windows. The synchronization protocol is classic
+// conservative PDES specialized to this simulator's structure:
+//
+//   - Every cross-lane interaction is a packet delivery with latency of at
+//     least the lookahead bound W (the minimum cross-region one-way
+//     latency). A lane executing events in the window [G, G+W) can
+//     therefore only schedule cross-lane work at or after G+W — never
+//     inside another lane's current window.
+//   - Lanes execute a window concurrently, queueing cross-lane pushes in
+//     per-lane outboxes. At the barrier the coordinator drains outboxes in
+//     fixed lane order into the target queues, so the merge order is a
+//     pure function of the event timeline, not goroutine scheduling.
+//   - Driver-level events (fault injections, publishes, anything scheduled
+//     through the engine's own Scheduler or before the first RunUntil) live
+//     on the global queue, executed single-threaded at barriers in exactly
+//     the (time, insertion) order width 1 gives them. A fault cut landing
+//     on a barrier boundary thus executes between windows, never
+//     "batch-ahead" of the lane loops it affects.
+//
+// Determinism at width ≥ 2: each lane queue orders events by the extended
+// key (at, pushAt, src, seq) — see eventq.PushKeyed. Within one pushing
+// context (a lane's loop, or the coordinator) pushAt is nondecreasing and
+// seq is the push order, so per-context insertion order is preserved;
+// across contexts the key orders by push time first (as width 1's global
+// sequence does) and falls back to the fixed context index only for pushes
+// from different contexts at identical virtual times. That fallback is the
+// one place the merge can deviate from width 1 (which breaks such ties by
+// push order instead) — the order is still a pure function of the event
+// timeline, just a different deterministic convention, and any downstream
+// push inherits it. FuzzShardMerge pins exactly this contract; the runner
+// differential suite demonstrates the convention never changes
+// protocol-level report bytes.
 //
 // Sim implements clock.Scheduler, which is the only interface the protocol
-// stack sees; the same protocol code runs unmodified on real time via
-// internal/udptransport.
+// stack sees.
 package sim
 
 import (
 	"fmt"
+	"math"
+	"sync"
 	"time"
 
 	"repro/internal/clock"
 	"repro/internal/eventq"
 )
 
-// Engine is the driver-facing surface shared by the serial simulator (Sim)
-// and the region-sharded parallel simulator (Sharded): scheduling from the
-// driver's context plus bounded execution. Experiment runners are written
-// against Engine so one scenario kernel can drive either implementation.
-type Engine interface {
-	clock.Scheduler
-	// Processed returns the number of events executed so far.
-	Processed() uint64
-	// Pending returns the number of scheduled events not yet executed.
-	Pending() int
-	// At schedules fn at the absolute virtual time at, clamped to now.
-	At(at time.Duration, fn func()) clock.Timer
-	// Post schedules fn like After without a cancellation handle.
-	Post(d time.Duration, fn func())
-	// RunUntil executes events with timestamps <= deadline, advances the
-	// clock to the deadline, and returns the number executed by this call.
-	RunUntil(deadline time.Duration) uint64
-}
-
-// Sim is a discrete-event simulator. Create one with New. Sim is not safe
-// for concurrent use: everything runs on the caller's goroutine.
+// Sim is the discrete-event engine. It implements clock.Scheduler
+// (driver-level scheduling lands on the global queue); the schedulers
+// protocol members run against come from Clock. Create one with New
+// (width 1) or NewSharded.
+//
+// Concurrency contract: width 1 runs everything on the caller's
+// goroutine. At width ≥ 2 the engine's own methods belong to the driving
+// goroutine — the driver between runs, or a global event at a barrier —
+// except that during a window each lane's goroutine may touch its own
+// lane (through its Clock, or PostFrom with a same/cross-lane target) and
+// Stop timers it armed; cross-lane effects are deferred to the barrier.
 type Sim struct {
+	// lanes are the shard event loops; nil at width 1, where every event
+	// lives on global.
+	lanes     []*lane
+	clocks    []laneClock
+	nodeShard []int32
+	lookahead time.Duration
+
+	// global holds every event at width 1; at width ≥ 2 it is the
+	// driver/coordinator queue. Either way it pops in plain (at, seq)
+	// order. gcount counts executed global events. gmu is only taken at
+	// width ≥ 2, where lanes may Stop global timers concurrently
+	// mid-window; every other global access is coordinator-side.
+	gmu    sync.Mutex
+	global eventq.Queue
+	gcount uint64
+
+	now time.Duration
+	// globalOnly routes every push to the global queue: always at width 1,
+	// and at width ≥ 2 until the first RunUntil.
+	globalOnly bool
+	barrier    bool // coordinator is executing between windows
+	running    bool
+
+	// stop and limit bound the current run: it panics rather than let
+	// Processed exceed stop (MustQuiesce's runaway guard; limit is the
+	// caller's event budget, kept for the message).
+	stop, limit uint64
+
+	active []*lane // scratch for runWindow
+}
+
+// lane is one shard's event loop: a keyed queue, the lane's local clock,
+// and an outbox of cross-lane pushes deferred to the next barrier.
+type lane struct {
+	q         eventq.Queue
 	now       time.Duration
-	queue     eventq.Queue
+	out       []outEvent
 	processed uint64
-	running   bool
 }
 
-// New returns an empty simulator at virtual time zero.
+// outEvent is a cross-lane push captured during a window.
+type outEvent struct {
+	dst    int32
+	at     time.Duration
+	pushAt time.Duration
+	src    int32
+	fn     func()
+}
+
+// coordinatorSrc orders barrier-context pushes before any lane's pushes at
+// an identical (at, pushAt) — width 1 runs driver-scheduled events first at
+// equal timestamps because their sequence numbers predate all runtime
+// pushes.
+const coordinatorSrc int32 = -1
+
+// New returns an empty width-1 engine at virtual time zero.
 func New() *Sim {
-	return &Sim{}
+	return &Sim{globalOnly: true}
 }
 
-// Now returns the current virtual time.
-func (s *Sim) Now() time.Duration { return s.now }
+// NewSharded returns an engine with shards lanes. nodeShard maps every
+// node id to its owning lane (see topology.NodeShards); lookahead is the
+// conservative window bound and must not exceed the minimum cross-lane
+// packet latency the caller's latency model can produce. One shard is
+// width 1, exactly New.
+func NewSharded(shards int, nodeShard []int32, lookahead time.Duration) (*Sim, error) {
+	if shards < 1 {
+		return nil, fmt.Errorf("sim: NewSharded with %d shards", shards)
+	}
+	if lookahead <= 0 {
+		return nil, fmt.Errorf("sim: NewSharded with non-positive lookahead %v", lookahead)
+	}
+	for n, s := range nodeShard {
+		if s < 0 || int(s) >= shards {
+			return nil, fmt.Errorf("sim: node %d mapped to shard %d of %d", n, s, shards)
+		}
+	}
+	e := New()
+	if shards == 1 {
+		return e, nil
+	}
+	e.lanes = make([]*lane, shards)
+	e.clocks = make([]laneClock, shards)
+	e.nodeShard = nodeShard
+	e.lookahead = lookahead
+	for i := range e.lanes {
+		e.lanes[i] = &lane{}
+		e.clocks[i] = laneClock{e: e, shard: int32(i)}
+	}
+	return e, nil
+}
 
-// Processed returns the number of events executed so far.
-func (s *Sim) Processed() uint64 { return s.processed }
+// Shards returns the number of lanes (1 for a width-1 engine).
+func (e *Sim) Shards() int { return max(1, len(e.lanes)) }
+
+// NodeShards returns the node-to-lane map, or nil at width 1 (every node
+// on lane 0).
+func (e *Sim) NodeShards() []int32 { return e.nodeShard }
+
+// Clock returns the scheduler protocol code owned by node must use. At
+// width 1 that is the engine itself; at width ≥ 2, Now is the owning lane's
+// local window clock and timers land on that lane's own queue.
+func (e *Sim) Clock(node int32) clock.Scheduler {
+	if e.lanes == nil {
+		return e
+	}
+	return &e.clocks[e.nodeShard[node]]
+}
+
+// Now returns the engine's barrier clock (the driver-visible virtual time;
+// at width 1, the current event's time).
+func (e *Sim) Now() time.Duration { return e.now }
+
+// Processed returns the number of events executed across all queues.
+func (e *Sim) Processed() uint64 {
+	total := e.gcount
+	for _, ln := range e.lanes {
+		total += ln.processed
+	}
+	return total
+}
 
 // Pending returns the number of scheduled events not yet executed.
-func (s *Sim) Pending() int { return s.queue.Len() }
-
-// timer adapts an eventq handle to clock.Timer. Events are pooled, so the
-// timer remembers the generation observed at Push time; a Stop after the
-// event fired (and the struct was reused for a later event) is a stale
-// handle that Cancel correctly refuses.
-type timer struct {
-	sim *Sim
-	ev  *eventq.Event
-	gen uint32
+func (e *Sim) Pending() int {
+	n := e.global.Len()
+	for _, ln := range e.lanes {
+		n += ln.q.Len()
+	}
+	return n
 }
 
-// Stop cancels the timer; see clock.Timer.
-func (t *timer) Stop() bool { return t.sim.queue.Cancel(t.ev, t.gen) }
-
-var _ clock.Timer = (*timer)(nil)
 var _ clock.Scheduler = (*Sim)(nil)
-var _ Engine = (*Sim)(nil)
 
-// After schedules fn to run d after the current virtual time. A non-positive
-// d schedules for "now"; the event still goes through the queue so it runs
-// after the currently executing event completes.
-func (s *Sim) After(d time.Duration, fn func()) clock.Timer {
+// After schedules fn on the global queue d after the barrier clock. A
+// non-positive d schedules for "now"; the event still goes through the
+// queue so it runs after the currently executing event completes.
+func (e *Sim) After(d time.Duration, fn func()) clock.Timer {
 	if fn == nil {
 		panic("sim: After with nil callback")
 	}
 	if d < 0 {
 		d = 0
 	}
-	ev := s.queue.Push(s.now+d, fn)
-	return &timer{sim: s, ev: ev, gen: ev.Gen()}
+	ev := e.global.Push(e.now+d, fn)
+	return &gtimer{e: e, ev: ev, gen: ev.Gen()}
 }
 
-// Post schedules fn like After but returns no cancellation handle, saving
-// the timer allocation. It exists for fire-and-forget events — the
-// simulated network's packet deliveries are never cancelled, and they
-// dominate event volume at scale.
-func (s *Sim) Post(d time.Duration, fn func()) {
+// At schedules fn on the global queue at the absolute time at, clamped to
+// the barrier clock.
+func (e *Sim) At(at time.Duration, fn func()) clock.Timer {
+	return e.After(at-e.now, fn)
+}
+
+// PostFrom schedules fn to run d after the sending context's clock, on the
+// lane owning node to, without a cancellation handle. from identifies the
+// sending node; the sending context is from's lane during a window, or the
+// coordinator during setup and barriers. This is the network's delivery
+// primitive: packet deliveries are never cancelled, and they dominate
+// event volume at scale. At width 1 it is a plain push onto the global
+// queue. Cross-lane posts with d below the lookahead bound panic: they
+// would land inside another lane's current window, which the engine cannot
+// order deterministically.
+func (e *Sim) PostFrom(from, to int32, d time.Duration, fn func()) {
 	if fn == nil {
-		panic("sim: Post with nil callback")
+		panic("sim: PostFrom with nil callback")
 	}
 	if d < 0 {
 		d = 0
 	}
-	s.queue.Push(s.now+d, fn)
+	if e.globalOnly {
+		e.global.Push(e.now+d, fn)
+		return
+	}
+	dst := e.nodeShard[to]
+	if e.barrier {
+		e.lanes[dst].q.PushKeyed(e.now+d, e.now, coordinatorSrc, fn)
+		return
+	}
+	src := e.nodeShard[from]
+	ln := e.lanes[src]
+	if src == dst {
+		ln.q.PushKeyed(ln.now+d, ln.now, src, fn)
+		return
+	}
+	if d < e.lookahead {
+		panic(fmt.Sprintf("sim: cross-shard post from node %d to node %d with delay %v below the %v lookahead bound", from, to, d, e.lookahead))
+	}
+	ln.out = append(ln.out, outEvent{dst: dst, at: ln.now + d, pushAt: ln.now, src: src, fn: fn})
 }
 
-// At schedules fn at the absolute virtual time at, clamped to now.
-func (s *Sim) At(at time.Duration, fn func()) clock.Timer {
-	return s.After(at-s.now, fn)
-}
+// Run executes events until every queue is empty and returns the number
+// executed. It panics if called reentrantly from an event callback.
+func (e *Sim) Run() uint64 { return e.RunUntil(-1) }
 
-// Step executes the single earliest event. It returns false if no events
-// are pending.
-func (s *Sim) Step() bool {
-	at, fn, ok := s.queue.PopFire()
-	if !ok {
-		return false
-	}
-	if at > s.now {
-		s.now = at
-	}
-	s.processed++
-	fn()
-	return true
-}
-
-// Run executes events until the queue is empty. It returns the number of
-// events executed. Run panics if called reentrantly from an event callback.
-func (s *Sim) Run() uint64 {
-	return s.RunUntil(-1)
-}
-
-// RunUntil executes events with timestamps <= deadline and then advances the
-// clock to the deadline. A negative deadline means "run to exhaustion". It
-// returns the number of events executed by this call.
-func (s *Sim) RunUntil(deadline time.Duration) uint64 {
-	if s.running {
-		panic("sim: reentrant Run from inside an event callback")
-	}
-	s.running = true
-	defer func() { s.running = false }()
-
-	start := s.processed
-	for {
-		head := s.queue.Peek()
-		if head == nil {
-			break
-		}
-		if deadline >= 0 && head.At() > deadline {
-			break
-		}
-		s.Step()
-	}
-	if deadline >= 0 && s.now < deadline {
-		s.now = deadline
-	}
-	return s.processed - start
+// RunUntil executes events with timestamps <= deadline, advances the clock
+// to the deadline, and returns the number of events executed by this call.
+// A negative deadline runs to exhaustion.
+func (e *Sim) RunUntil(deadline time.Duration) uint64 {
+	return e.run(deadline, math.MaxUint64)
 }
 
 // RunFor advances the simulation by d from the current time; see RunUntil.
-func (s *Sim) RunFor(d time.Duration) uint64 {
-	return s.RunUntil(s.now + d)
-}
+func (e *Sim) RunFor(d time.Duration) uint64 { return e.RunUntil(e.now + d) }
 
-// MustQuiesce runs to exhaustion but panics if more than limit events
-// execute, which guards tests and experiments against runaway protocols
-// (for example a search loop that never terminates).
-func (s *Sim) MustQuiesce(limit uint64) uint64 {
-	if s.running {
-		panic("sim: reentrant MustQuiesce")
+// MustQuiesce runs to exhaustion but panics if the run needs more than
+// limit events, which guards tests and experiments against runaway
+// protocols (for example a search loop that never terminates).
+func (e *Sim) MustQuiesce(limit uint64) uint64 { return e.run(-1, limit) }
+
+// run is the Run family's body: execute up to deadline (negative = to
+// exhaustion) and panic, on the driving goroutine, once the run needs
+// more than limit events. Width 1 panics before the extra event runs; at
+// width ≥ 2 a lane stops one event past the budget and the coordinator
+// panics after that window.
+func (e *Sim) run(deadline time.Duration, limit uint64) uint64 {
+	if e.running {
+		panic("sim: reentrant Run from inside an event callback")
 	}
-	s.running = true
-	defer func() { s.running = false }()
+	e.running = true
+	defer func() { e.running = false }()
 
-	start := s.processed
-	for s.queue.Len() > 0 {
-		if s.processed-start >= limit {
-			panic(fmt.Sprintf("sim: event limit %d exceeded at t=%v with %d pending", limit, s.now, s.queue.Len()))
+	start := e.Processed()
+	e.limit, e.stop = limit, start+limit
+	if e.stop < start {
+		e.stop = math.MaxUint64
+	}
+	if e.lanes == nil {
+		e.runSerial(deadline)
+		return e.gcount - start
+	}
+	e.globalOnly = false
+	if deadline >= 0 {
+		e.runTo(deadline)
+	} else {
+		for at, ok := e.nextEventAt(); ok; at, ok = e.nextEventAt() {
+			e.runTo(at)
 		}
-		s.Step()
 	}
-	return s.processed - start
+	return e.Processed() - start
 }
+
+// overrun reports a run that hit its event limit.
+func (e *Sim) overrun() {
+	panic(fmt.Sprintf("sim: event limit %d exceeded at t=%v with %d pending", e.limit, e.now, e.Pending()))
+}
+
+// runSerial is width 1's loop: pop the global queue in (at, seq) order,
+// advancing the clock to each event.
+func (e *Sim) runSerial(deadline time.Duration) {
+	for {
+		head := e.global.Peek()
+		if head == nil || (deadline >= 0 && head.At() > deadline) {
+			break
+		}
+		if e.gcount >= e.stop {
+			e.overrun()
+		}
+		at, fn, _ := e.global.PopFire()
+		if at > e.now {
+			e.now = at
+		}
+		e.gcount++
+		fn()
+	}
+	if deadline >= 0 && e.now < deadline {
+		e.now = deadline
+	}
+}
+
+// runTo advances a width ≥ 2 engine to the absolute time deadline (>= 0).
+func (e *Sim) runTo(deadline time.Duration) {
+	for {
+		e.syncLanes()
+		e.runGlobalDue()
+		if e.now >= deadline {
+			// Final pass: events at exactly the deadline instant. Globals
+			// at the deadline already fired above (driver-scheduled events
+			// precede runtime events at equal timestamps, as at width 1);
+			// now the lane loops run theirs inclusively.
+			e.runWindow(deadline, true)
+			e.drainOutboxes()
+			return
+		}
+		h := e.now + e.lookahead
+		if head := e.global.Peek(); head != nil && head.At() < h {
+			h = head.At()
+		}
+		if deadline < h {
+			h = deadline
+		}
+		e.runWindow(h, false)
+		e.drainOutboxes()
+		e.now = h
+	}
+}
+
+// syncLanes aligns every lane clock with the barrier clock.
+func (e *Sim) syncLanes() {
+	for _, ln := range e.lanes {
+		ln.now = e.now
+	}
+}
+
+// runGlobalDue executes global events due at the barrier clock, in
+// (time, insertion) order, on the coordinator.
+func (e *Sim) runGlobalDue() {
+	e.barrier = true
+	for {
+		head := e.global.Peek()
+		if head == nil || head.At() > e.now {
+			break
+		}
+		if e.Processed() >= e.stop {
+			e.overrun()
+		}
+		_, fn, _ := e.global.PopFire()
+		e.gcount++
+		fn()
+	}
+	e.barrier = false
+}
+
+// nextEventAt returns the earliest pending event time across all queues.
+func (e *Sim) nextEventAt() (time.Duration, bool) {
+	var at time.Duration
+	ok := false
+	if head := e.global.Peek(); head != nil {
+		at, ok = head.At(), true
+	}
+	for _, ln := range e.lanes {
+		if head := ln.q.Peek(); head != nil && (!ok || head.At() < at) {
+			at, ok = head.At(), true
+		}
+	}
+	return at, ok
+}
+
+// runWindow executes every lane's events in [now, limit) — or [now, limit]
+// when inclusive — concurrently, one goroutine per lane with due events.
+// Each lane runs at most one event past the run's remaining budget, so a
+// runaway lane stops and the overrun surfaces here, on the coordinator.
+func (e *Sim) runWindow(limit time.Duration, inclusive bool) {
+	e.active = e.active[:0]
+	for _, ln := range e.lanes {
+		if head := ln.q.Peek(); head != nil && due(head.At(), limit, inclusive) {
+			e.active = append(e.active, ln)
+		}
+	}
+	if len(e.active) == 0 {
+		return
+	}
+	quota := e.stop - e.Processed()
+	if len(e.active) == 1 {
+		e.active[0].run(limit, inclusive, quota)
+	} else {
+		var wg sync.WaitGroup
+		wg.Add(len(e.active))
+		for _, ln := range e.active {
+			go func(ln *lane) {
+				defer wg.Done()
+				ln.run(limit, inclusive, quota)
+			}(ln)
+		}
+		wg.Wait()
+	}
+	if e.Processed() > e.stop {
+		e.overrun()
+	}
+}
+
+func due(at, limit time.Duration, inclusive bool) bool {
+	if inclusive {
+		return at <= limit
+	}
+	return at < limit
+}
+
+// run executes up to quota+1 of the lane's due events in extended-key
+// order, advancing the lane clock to each event's timestamp.
+func (ln *lane) run(limit time.Duration, inclusive bool, quota uint64) {
+	for n := uint64(0); n <= quota; n++ {
+		head := ln.q.Peek()
+		if head == nil || !due(head.At(), limit, inclusive) {
+			return
+		}
+		at, fn, _ := ln.q.PopFire()
+		if at > ln.now {
+			ln.now = at
+		}
+		ln.processed++
+		fn()
+	}
+}
+
+// drainOutboxes merges the window's cross-lane pushes into their target
+// queues in fixed lane order, keeping the merge deterministic.
+func (e *Sim) drainOutboxes() {
+	for _, ln := range e.lanes {
+		for i := range ln.out {
+			o := &ln.out[i]
+			e.lanes[o.dst].q.PushKeyed(o.at, o.pushAt, o.src, o.fn)
+			o.fn = nil
+		}
+		ln.out = ln.out[:0]
+	}
+}
+
+// laneClock is the clock.Scheduler one lane's members run against at
+// width ≥ 2.
+type laneClock struct {
+	e     *Sim
+	shard int32
+}
+
+// Now returns the lane's local clock (the barrier clock between windows).
+func (c *laneClock) Now() time.Duration { return c.e.lanes[c.shard].now }
+
+// After schedules fn on the owning lane's queue. During setup it routes to
+// the global queue (matching width 1's pre-run insertion order); from a
+// barrier it is keyed as a coordinator push.
+func (c *laneClock) After(d time.Duration, fn func()) clock.Timer {
+	e := c.e
+	if e.globalOnly {
+		return e.After(d, fn)
+	}
+	if fn == nil {
+		panic("sim: After with nil callback")
+	}
+	if d < 0 {
+		d = 0
+	}
+	ln := e.lanes[c.shard]
+	src := c.shard
+	if e.barrier {
+		src = coordinatorSrc
+	}
+	ev := ln.q.PushKeyed(ln.now+d, ln.now, src, fn)
+	return &ltimer{ln: ln, ev: ev, gen: ev.Gen()}
+}
+
+var _ clock.Scheduler = (*laneClock)(nil)
+
+// gtimer is a handle to a global-queue event. Events are pooled, so the
+// handle remembers the generation observed at push time; a Stop after the
+// event fired (and the struct was reused for a later event) is a stale
+// handle that Cancel correctly refuses.
+type gtimer struct {
+	e   *Sim
+	ev  *eventq.Event
+	gen uint32
+}
+
+// Stop cancels the timer; see clock.Timer.
+func (t *gtimer) Stop() bool {
+	if t.e.lanes != nil {
+		// Members on concurrent lanes may stop timers they armed during
+		// setup, which live on the global queue.
+		t.e.gmu.Lock()
+		defer t.e.gmu.Unlock()
+	}
+	return t.e.global.Cancel(t.ev, t.gen)
+}
+
+// ltimer is a handle to a lane event. Stop is only safe from the owning
+// lane's context (or a barrier) — the same ownership rule as every other
+// lane operation. Protocol members only cancel their own timers, so this
+// holds by construction.
+type ltimer struct {
+	ln  *lane
+	ev  *eventq.Event
+	gen uint32
+}
+
+// Stop cancels the timer; see clock.Timer.
+func (t *ltimer) Stop() bool { return t.ln.q.Cancel(t.ev, t.gen) }
+
+var _ clock.Timer = (*gtimer)(nil)
+var _ clock.Timer = (*ltimer)(nil)

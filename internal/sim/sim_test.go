@@ -181,7 +181,7 @@ func BenchmarkTimerChurn(b *testing.B) {
 			tm.Stop()
 		}
 		if s.Pending() > 1024 {
-			s.Step()
+			s.Run()
 		}
 	}
 }

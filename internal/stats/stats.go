@@ -15,8 +15,8 @@ import (
 )
 
 // Counter is a monotonically adjustable tally. The zero value is ready to
-// use. Counter is not safe for concurrent use (the simulator is single
-// threaded; the UDP transport keeps per-member stats).
+// use. Counter is not safe for concurrent use (each engine lane keeps its
+// own counters).
 type Counter struct {
 	n int64
 }

@@ -7,7 +7,7 @@ import (
 	"repro/internal/topology"
 )
 
-// Fuzz targets for the codec. The UDP transport feeds Unmarshal raw
+// Fuzz targets for the codec. A network transport would feed Unmarshal raw
 // datagrams straight off the socket, so it must never panic on arbitrary
 // bytes; and Marshal→Unmarshal must be the identity on every valid message
 // (the simulator exchanges Go values, so any codec asymmetry would only

@@ -2,10 +2,9 @@
 // and a compact binary codec for them.
 //
 // Inside the simulator, messages travel as Go values and the codec is never
-// on the hot path; the UDP transport (internal/udptransport) uses
-// Marshal/Unmarshal to put the same messages on real sockets. EncodedSize
-// feeds the simulator's traffic accounting so byte counts match what the
-// real transport would send.
+// on the hot path; Marshal/Unmarshal define the wire bytes a real transport
+// would send. EncodedSize feeds the simulator's traffic accounting so byte
+// counts match that encoding.
 package wire
 
 import (

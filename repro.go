@@ -199,9 +199,9 @@ func WithCopyOnStore() Option {
 }
 
 // WithShards runs the group on the region-sharded parallel engine with up
-// to n event loops (<= 1 keeps the serial engine). Results are
+// to n event loops (<= 1 runs at width 1). Results are
 // byte-identical either way. Groups with a shared-stream loss model
-// (WithDataLoss, WithBurstDataLoss) fall back to the serial engine — those
+// (WithDataLoss, WithBurstDataLoss) run at width 1 — those
 // draws happen in global send order, which only one loop reproduces. The
 // hash-stream models (WithHashDataLoss, WithHashBurstLoss) stay parallel.
 func WithShards(n int) Option {
