@@ -1,8 +1,11 @@
 // Command rrmp-sim runs simulated RRMP scenarios and prints metrics:
 // topology, workload, loss, churn, crash faults, partitions and policy
-// are all flags.
+// are all flags. The scenario flags fill one exp.Scenario, and every mode
+// runs that scenario's cells through the same kernel (runner.RunScenario),
+// so one flag set names one cell in every mode, and a single trial with
+// -seed s prints exactly RunScenario(cell, s).
 //
-// One scenario, one trial (the original mode):
+// One scenario, one trial: prints the cell name and its sorted metrics.
 //
 //	rrmp-sim -regions 100 -msgs 50 -loss 0.2
 //	rrmp-sim -regions 50,50,50 -msgs 20 -loss 0.1 -policy fixed -hold 500ms
@@ -16,8 +19,9 @@
 //	rrmp-sim -regions 100 -loss 0.2 -trials 16 -parallel 8
 //
 // A full scenario sweep (regions × loss × churn × crash × partition ×
-// policy matrix; -sweep-* flags override the default matrix), with the
-// JSON report also written to -out for machine tracking:
+// policy matrix; -sweep-* flags override the default matrix, and the
+// scenario flags fill every cell's remaining fields), with the JSON report
+// also written to -out for machine tracking:
 //
 //	rrmp-sim -sweep -trials 8 -parallel 4 -json
 //	rrmp-sim -sweep -sweep-crashes 0,2 -sweep-partitions 0,1s -trials 4
@@ -51,8 +55,9 @@
 //	rrmp-sim -workload mc -trace-record mc.trace
 //	rrmp-sim -workload mc -trace-replay mc.trace
 //
-// Single-run traces stream to stderr with -trace and/or to a file with
-// -trace-out (both flags reject sweep/multi-trial modes loudly).
+// Single-trial rrmp runs, workload cells included, stream protocol events
+// to stderr with -trace and/or to a file with -trace-out (both flags
+// reject sweep/multi-trial modes and the rmtp baseline loudly).
 //
 // Policies come from the central registry: -policy (and -sweep-policies)
 // accept any registered kind or alias, optionally parameterized, and
@@ -72,6 +77,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -81,196 +87,473 @@ import (
 	"strings"
 	"time"
 
-	"repro"
+	"repro/internal/exp"
 	"repro/internal/policy"
-	"repro/internal/rng"
 	"repro/internal/runner"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
-func main() {
-	var (
-		regions      = flag.String("regions", "100", "comma-separated region sizes (chain hierarchy)")
-		star         = flag.Bool("star", false, "attach all regions directly to the sender's region")
-		tree         = flag.String("tree", "", "balanced tree topology 'branch,levels,members' (overrides -regions)")
-		msgs         = flag.Int("msgs", 20, "messages to publish")
-		gap          = flag.Duration("gap", 20*time.Millisecond, "inter-message gap")
-		loss         = flag.Float64("loss", 0.2, "independent DATA loss probability")
-		lossMode     = flag.String("loss-mode", "", "loss stream model: '' = legacy shared stream (serial-only), 'hash' = per-sender counter hash (shard-safe, runs parallel under -shards; combine with -burst for the shard-safe Gilbert-Elliott chain)")
-		burst        = flag.Bool("burst", false, "use a Gilbert-Elliott burst loss channel instead")
-		churn        = flag.Float64("churn", 0, "graceful leaves per second (Poisson over non-sender members)")
-		crash        = flag.Float64("crash", 0, "crash faults per second (Poisson over non-sender members; no handoff)")
-		crashRecover = flag.Duration("crash-recover", 0, "downtime before a crashed member returns (0 = crash-stop)")
-		partitionAt  = flag.Duration("partition-at", 0, "instant to split the group into two halves (0 = never)")
-		partitionFor = flag.Duration("partition-for", 0, "partition duration before the heal event (0 = never heals)")
-		c            = flag.Float64("c", 6, "expected long-term bufferers per region (C)")
-		lambda       = flag.Float64("lambda", 1, "expected remote requests per regional loss (lambda)")
-		payload      = flag.Int("payload", 0, "payload bytes per message (0 = the historic 256)")
-		payloadModel = flag.String("payload-model", "", "payload size model: fixed|uniform|lognormal (sizes drawn around -payload)")
-		budget       = flag.Int("budget", 0, "per-member buffer byte budget (0 = unlimited)")
-		protocol     = flag.String("protocol", "rrmp", "recovery protocol: rrmp (the paper's) or rmtp (tree repair-server baseline)")
-		policy       = flag.String("policy", "two-phase", "buffering policy spec, e.g. two-phase, fixed:hold=200ms or adaptive:tmin=20ms,tmax=200ms,target=2 (rrmp only; rmtp cells always run the repair-server discipline; see -list-policies)")
-		hold         = flag.Duration("hold", 500*time.Millisecond, "retention for -policy fixed")
-		seed         = flag.Uint64("seed", 1, "root random seed")
-		horizon      = flag.Duration("horizon", 5*time.Second, "virtual run time")
-		doTrace      = flag.Bool("trace", false, "stream protocol events to stderr (single-trial rrmp mode only)")
-		traceOut     = flag.String("trace-out", "", "write protocol events to this file instead of stderr (single-trial rrmp mode only)")
-		backoff      = flag.Duration("backoff", 0, "regional repair multicast back-off window (0 = immediate)")
-		workloadFlag = flag.String("workload", "", "multi-client publish workload: a preset (mc|bursty|vod) or 'key=val,...' with keys clients,msgs,arrival(constant|poisson|burst),gap,zipf,burst-len,burst-gap,window(from-to:factor),size-model(fixed|uniform|lognormal),size-mean,late-frac,late-at,late-spread")
-		traceRecord  = flag.String("trace-record", "", "write the materialized publish timeline to this file as rrmp-trace/v1 (single-trial -workload mode only)")
-		traceReplay  = flag.String("trace-replay", "", "drive the run from a recorded rrmp-trace/v1 file instead of generating the timeline (single-trial -workload mode only)")
+func main() { os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr)) }
 
-		sweep      = flag.Bool("sweep", false, "run the scenario matrix instead of a single scenario")
-		sweepScale = flag.Bool("sweep-scale", false, "run the scale matrix (members×depth balanced trees) and record wall-clock + events/sec")
-		trials     = flag.Int("trials", 1, "independently seeded trials per scenario cell")
-		parallel   = flag.Int("parallel", 0, "worker pool size for trials (0 = GOMAXPROCS)")
-		shards     = flag.Int("shards", 1, "region-sharded event loops per trial (1 = serial; aggregates are byte-identical at any width)")
-		jsonOut    = flag.Bool("json", false, "print the sweep report as JSON instead of a table")
-		outPath    = flag.String("out", "", "also write the sweep report JSON here (default BENCH_sweep.json for a default-matrix -sweep; empty = don't)")
+// executionFlags choose how a run executes and where its output goes,
+// never which cells it runs. Every other flag customizes the matrix, so
+// the committed BENCH_sweep.json / BENCH_scale.json records are the
+// default -out target only when none of those was given.
+var executionFlags = map[string]bool{
+	"trials": true, "parallel": true, "shards": true, "json": true, "out": true,
+	"sweep": true, "sweep-scale": true, "list-policies": true, "fitness-weights": true,
+	"trace": true, "trace-out": true, "trace-record": true, "trace-replay": true,
+}
 
-		swRegions    = flag.String("sweep-regions", "", "region vectors to sweep, e.g. '50;100;50,50' (default 50;100;30,30)")
-		swLosses     = flag.String("sweep-losses", "", "loss rates to sweep, e.g. '0.05,0.2' (default 0.05,0.2)")
-		swChurns     = flag.String("sweep-churns", "", "churn rates to sweep, e.g. '0,1' (default 0,1)")
-		swCrashes    = flag.String("sweep-crashes", "", "crash rates to sweep, e.g. '0,1' (default 0,1)")
-		swPartitions = flag.String("sweep-partitions", "", "partition durations to sweep, e.g. '0,1s' (default 0,1s; 0 = no partition)")
-		swPolicies   = flag.String("sweep-policies", "", "policies to sweep, e.g. 'two-phase,fixed' (default two-phase,fixed)")
-		swTrees      = flag.String("sweep-trees", "", "tree shapes to sweep as 'branch:levels:members;...' (adds tree cells to -sweep; overrides the -sweep-scale grid)")
-		swPayloads   = flag.String("sweep-payloads", "", "payload sizes to sweep, e.g. '0,1024' (default 0,1024; 0 = historic 256)")
-		swBudgets    = flag.String("sweep-budgets", "", "buffer byte budgets to sweep, e.g. '0,8192' (default 0,8192; 0 = unlimited)")
-		swProtocols  = flag.String("sweep-protocols", "", "protocols to sweep, e.g. 'rrmp,rmtp' (default rrmp,rmtp; rmtp families append after all rrmp cells)")
+// runOpts are an invocation's settings outside the scenario: seed and
+// trial count, output, and tracing.
+type runOpts struct {
+	seed     uint64
+	trials   int
+	parallel int
+	jsonOut  bool
+	outPath  string
+	fitness  string
+	// trace and traceOut send the single trial's protocol events to
+	// stderr and/or a file; traceRecord and traceReplay bind its publish
+	// timeline to an rrmp-trace/v1 file.
+	trace       bool
+	traceOut    string
+	traceRecord string
+	traceReplay string
+	stdout      io.Writer
+	stderr      io.Writer
+}
 
-		listPolicies   = flag.Bool("list-policies", false, "print the policy registry roster (kinds, aliases, parameters) and exit")
-		fitnessWeights = flag.String("fitness-weights", "", "print a fitness-ranked cell table after a sweep: 'key=val,...' weights with keys delivery,bytesec,unrec,recovery ('default' = standing weights; never changes the report bytes)")
-	)
-	flag.Parse()
+func (o runOpts) options() exp.Options {
+	return exp.Options{Trials: o.trials, Parallel: o.parallel, BaseSeed: o.seed}
+}
 
+// realMain runs the command on args and returns its exit status: 0 on
+// success, 1 when a run fails, 2 for a usage error.
+func realMain(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("rrmp-sim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	sc := scenarioFlags(fs)
+	o := runOpts{stdout: stdout, stderr: stderr}
+	fs.Uint64Var(&o.seed, "seed", 1, "root random seed")
+	fs.IntVar(&o.trials, "trials", 1, "independently seeded trials per scenario cell")
+	fs.IntVar(&o.parallel, "parallel", 0, "worker pool size for trials (0 = GOMAXPROCS)")
+	fs.BoolVar(&o.jsonOut, "json", false, "print the sweep report as JSON instead of a table")
+	fs.StringVar(&o.outPath, "out", "", "also write the sweep report JSON here (default BENCH_sweep.json for a default-matrix -sweep; empty = don't)")
+	fs.StringVar(&o.fitness, "fitness-weights", "", "print a fitness-ranked cell table after a sweep: 'key=val,...' weights with keys delivery,bytesec,unrec,recovery ('default' = standing weights; never changes the report bytes)")
+	fs.BoolVar(&o.trace, "trace", false, "stream protocol events to stderr (single-trial rrmp mode only)")
+	fs.StringVar(&o.traceOut, "trace-out", "", "write protocol events to this file instead of stderr (single-trial rrmp mode only)")
+	fs.StringVar(&o.traceRecord, "trace-record", "", "write the materialized publish timeline to this file as rrmp-trace/v1 (single-trial -workload mode only)")
+	fs.StringVar(&o.traceReplay, "trace-replay", "", "drive the run from a recorded rrmp-trace/v1 file instead of generating the timeline (single-trial -workload mode only)")
+	sweep := fs.Bool("sweep", false, "run the scenario matrix instead of a single scenario")
+	sweepScale := fs.Bool("sweep-scale", false, "run the scale matrix (members×depth balanced trees) and record wall-clock + events/sec")
+	axes := axisFlags(fs)
+	listPolicies := fs.Bool("list-policies", false, "print the policy registry roster (kinds, aliases, parameters) and exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	if *listPolicies {
-		printPolicyRoster(os.Stdout)
-		return
+		printPolicyRoster(stdout)
+		return 0
 	}
 
-	// The committed record tracks the *default* matrix, so it is only the
-	// default target when no flag that changes cell semantics was given;
-	// customized sweeps and ad-hoc multi-trial runs must not clobber it.
-	// (-trials/-parallel/-json stay allowed: trial count is visible in the
-	// report and parallelism never changes its bytes.)
-	outSet, matrixCustomized, protocolSet := false, false, false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "protocol" {
-			protocolSet = true
-		}
-		switch f.Name {
-		case "out":
-			outSet = true
-		case "regions", "star", "tree", "burst", "msgs", "gap", "horizon", "hold",
-			"c", "lambda", "backoff", "seed", "churn", "loss", "loss-mode", "policy",
-			"crash", "crash-recover", "partition-at", "partition-for",
-			"payload", "payload-model", "budget", "protocol",
-			"workload", "trace-record", "trace-replay",
-			"sweep-regions", "sweep-losses", "sweep-churns", "sweep-crashes",
-			"sweep-partitions", "sweep-policies", "sweep-trees",
-			"sweep-payloads", "sweep-budgets", "sweep-protocols":
-			matrixCustomized = true
-		}
+	set, customized := map[string]bool{}, false
+	fs.Visit(func(f *flag.Flag) {
+		set[f.Name] = true
+		customized = customized || !executionFlags[f.Name]
 	})
+	multi := *sweep || *sweepScale || o.trials > 1
+	var usage string
+	switch {
 	// Tracing observes one deterministic run; a parallel sweep would
-	// interleave members of many trials into the same stream. Fail loudly
-	// instead of silently dropping the flag, as the old -trace did.
-	if (*doTrace || *traceOut != "") && (*sweep || *sweepScale || *trials > 1) {
-		fmt.Fprintln(os.Stderr, "rrmp-sim: -trace/-trace-out apply to single-trial mode only")
-		os.Exit(2)
+	// interleave members of many trials into the same stream.
+	case (o.trace || o.traceOut != "") && multi:
+		usage = "-trace/-trace-out apply to single-trial mode only"
+	// Timeline traces bind one (workload, seed) pair to one file.
+	case (o.traceRecord != "" || o.traceReplay != "") && multi:
+		usage = "-trace-record/-trace-replay apply to single-trial mode only"
+	case (o.traceRecord != "" || o.traceReplay != "") && sc.Workload == nil:
+		usage = "-trace-record/-trace-replay require -workload (the spec names the cell the timeline belongs to)"
+	case o.traceRecord != "" && o.traceReplay != "":
+		usage = "choose one of -trace-record or -trace-replay"
+	case sc.Workload != nil && *sweepScale:
+		usage = "-workload does not apply to -sweep-scale"
+	case o.fitness != "" && (*sweepScale || !(*sweep || o.trials > 1)):
+		usage = "-fitness-weights scores sweep/multi-trial reports (use with -sweep or -trials > 1)"
+	case set["out"] && o.outPath != "" && !multi:
+		usage = "-out only applies with -sweep, -sweep-scale or -trials > 1"
 	}
-	// Timeline traces bind one (workload, seed) pair to one file; sweeps
-	// and multi-trial runs have many timelines, so the flags reject those
-	// modes the same way the event tracer does.
-	if *traceRecord != "" || *traceReplay != "" {
+	if usage != "" {
+		fmt.Fprintln(stderr, "rrmp-sim:", usage)
+		return 2
+	}
+	// The committed records track the *default* matrices, so customized
+	// matrices and ad-hoc multi-trial runs never clobber them.
+	if !set["out"] && !customized {
 		switch {
-		case *sweep || *sweepScale || *trials > 1:
-			fmt.Fprintln(os.Stderr, "rrmp-sim: -trace-record/-trace-replay apply to single-trial mode only")
-			os.Exit(2)
-		case *workloadFlag == "":
-			fmt.Fprintln(os.Stderr, "rrmp-sim: -trace-record/-trace-replay require -workload (the spec names the cell the timeline belongs to)")
-			os.Exit(2)
-		case *traceRecord != "" && *traceReplay != "":
-			fmt.Fprintln(os.Stderr, "rrmp-sim: choose one of -trace-record or -trace-replay")
-			os.Exit(2)
+		case *sweepScale:
+			o.outPath = "BENCH_scale.json"
+		case *sweep:
+			o.outPath = "BENCH_sweep.json"
 		}
-	}
-	if *workloadFlag != "" && (*doTrace || *traceOut != "") {
-		fmt.Fprintln(os.Stderr, "rrmp-sim: -trace/-trace-out observe the single-run engine; -workload cells run the sweep kernel, which has no tracer hook")
-		os.Exit(2)
-	}
-	if *workloadFlag != "" && *sweepScale {
-		fmt.Fprintln(os.Stderr, "rrmp-sim: -workload does not apply to -sweep-scale")
-		os.Exit(2)
-	}
-	if *fitnessWeights != "" && (*sweepScale || !(*sweep || *trials > 1)) {
-		fmt.Fprintln(os.Stderr, "rrmp-sim: -fitness-weights scores sweep/multi-trial reports (use with -sweep or -trials > 1)")
-		os.Exit(2)
-	}
-	if !outSet && *sweep && !*sweepScale && !matrixCustomized {
-		*outPath = "BENCH_sweep.json"
-	}
-	// The committed scale record is regenerated per PR (its wall-clock
-	// fields are the point), but a customized scale matrix must not
-	// clobber it either.
-	if !outSet && *sweepScale && !matrixCustomized {
-		*outPath = "BENCH_scale.json"
-	}
-	if outSet && *outPath != "" && !*sweep && !*sweepScale && *trials <= 1 {
-		fmt.Fprintln(os.Stderr, "rrmp-sim: -out only applies with -sweep, -sweep-scale or -trials > 1")
-		os.Exit(2)
 	}
 
 	var err error
-	if *sweepScale {
-		err = runScale(scaleArgs{
-			trials: *trials, parallel: *parallel, seed: *seed, shards: *shards,
-			json: *jsonOut, outPath: *outPath, swTrees: *swTrees,
-		})
-	} else if *sweep || *trials > 1 {
-		err = runSweep(sweepArgs{
-			sweep: *sweep, regionsCSV: *regions, star: *star, tree: *tree, msgs: *msgs, gap: *gap,
-			loss: *loss, lossMode: *lossMode, burst: *burst, churn: *churn, c: *c, lambda: *lambda,
-			backoff: *backoff, policy: *policy, hold: *hold,
-			crash: *crash, crashRecover: *crashRecover,
-			partitionAt: *partitionAt, partitionFor: *partitionFor,
-			payload: *payload, payloadModel: *payloadModel, budget: *budget,
-			protocol: *protocol, protocolSet: protocolSet,
-			seed: *seed, horizon: *horizon, trials: *trials, parallel: *parallel,
-			shards: *shards, json: *jsonOut, outPath: *outPath,
-			workload:       *workloadFlag,
-			workloadFamily: *sweep && !matrixCustomized,
-			fitnessWeights: *fitnessWeights,
-			swRegions:      *swRegions, swLosses: *swLosses, swChurns: *swChurns,
-			swCrashes: *swCrashes, swPartitions: *swPartitions, swPolicies: *swPolicies,
-			swTrees: *swTrees, swPayloads: *swPayloads, swBudgets: *swBudgets,
-			swProtocols: *swProtocols,
-		})
-	} else {
-		sa := singleArgs{
-			regionsCSV: *regions, star: *star, tree: *tree, msgs: *msgs, gap: *gap,
-			loss: *loss, lossMode: *lossMode, burst: *burst, churn: *churn, c: *c, lambda: *lambda,
-			policy: *policy, hold: *hold, seed: *seed, horizon: *horizon,
-			doTrace: *doTrace, traceOut: *traceOut, backoff: *backoff,
-			crash: *crash, crashRecover: *crashRecover,
-			partitionAt: *partitionAt, partitionFor: *partitionFor,
-			payload: *payload, payloadModel: *payloadModel, budget: *budget,
-			protocol: *protocol, shards: *shards,
-		}
-		if *workloadFlag != "" {
-			err = runSingleWorkload(os.Stdout, workloadArgs{
-				single: sa, workload: *workloadFlag,
-				traceRecord: *traceRecord, traceReplay: *traceReplay,
-			})
-		} else {
-			err = run(sa)
-		}
+	switch {
+	case *sweepScale:
+		err = runScale(o, sc.Shards, axes.Trees)
+	case multi:
+		err = runSweeps(o, sweepsFor(*sc, axes, *sweep, set["protocol"], *sweep && !customized)...)
+	default:
+		err = runSingle(o, *sc)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "rrmp-sim:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "rrmp-sim:", err)
+		return 1
 	}
+	return 0
+}
+
+// scenarioFlags registers the scenario flags on fs and returns the one
+// scenario they fill. Every mode starts from it: a single trial runs it, a
+// multi-trial run aggregates it, and -sweep uses it as the default
+// matrix's Base.
+func scenarioFlags(fs *flag.FlagSet) *exp.Scenario {
+	sc := &exp.Scenario{Regions: []int{100}}
+	fs.Func("regions", "comma-separated region sizes (chain hierarchy) (default 100)", func(s string) (err error) {
+		sc.Regions, err = parseSizes(s)
+		return err
+	})
+	fs.BoolVar(&sc.Star, "star", false, "attach all regions directly to the sender's region")
+	fs.Func("tree", "balanced tree topology 'branch,levels,members' (overrides -regions)", func(s string) error {
+		shape, err := parseTreeShape(s)
+		sc.Tree = &shape
+		return err
+	})
+	fs.IntVar(&sc.Msgs, "msgs", 20, "messages to publish")
+	fs.DurationVar(&sc.Gap, "gap", 20*time.Millisecond, "inter-message gap")
+	fs.Float64Var(&sc.Loss, "loss", 0.2, "independent DATA loss probability")
+	fs.StringVar(&sc.LossMode, "loss-mode", "", "loss stream model: '' = legacy shared stream (serial-only), 'hash' = per-sender counter hash (shard-safe, runs parallel under -shards; combine with -burst for the shard-safe Gilbert-Elliott chain)")
+	fs.BoolVar(&sc.Burst, "burst", false, "use a Gilbert-Elliott burst loss channel instead")
+	fs.Float64Var(&sc.Churn, "churn", 0, "graceful leaves per second (Poisson over non-sender members)")
+	fs.Float64Var(&sc.Crash, "crash", 0, "crash faults per second (Poisson over non-sender members; no handoff)")
+	fs.DurationVar(&sc.CrashRecover, "crash-recover", 0, "downtime before a crashed member returns (0 = crash-stop)")
+	fs.DurationVar(&sc.PartitionAt, "partition-at", 0, "instant to split the group into two halves (0 = never; with -sweep, when partition episodes begin)")
+	fs.DurationVar(&sc.PartitionDur, "partition-for", 0, "partition duration before the heal event (0 = never heals)")
+	fs.Float64Var(&sc.C, "c", 6, "expected long-term bufferers per region (C)")
+	fs.Float64Var(&sc.Lambda, "lambda", 1, "expected remote requests per regional loss (lambda)")
+	fs.IntVar(&sc.PayloadBytes, "payload", 0, "payload bytes per message (0 = the historic 256)")
+	fs.Func("payload-model", "payload size model: fixed|uniform|lognormal (sizes drawn around -payload)", func(s string) error {
+		sc.PayloadModel = s
+		if s == "fixed" {
+			sc.PayloadModel = "" // the historic default, so cell names keep their bytes
+		}
+		return nil
+	})
+	fs.IntVar(&sc.ByteBudget, "budget", 0, "per-member buffer byte budget (0 = unlimited)")
+	fs.StringVar(&sc.Protocol, "protocol", "rrmp", "recovery protocol: rrmp (the paper's) or rmtp (tree repair-server baseline)")
+	fs.StringVar(&sc.Policy, "policy", "two-phase", "buffering policy spec, e.g. two-phase, fixed:hold=200ms or adaptive:tmin=20ms,tmax=200ms,target=2 (rrmp only; rmtp cells always run the repair-server discipline; see -list-policies)")
+	fs.DurationVar(&sc.FixedHold, "hold", 500*time.Millisecond, "retention for -policy fixed")
+	fs.DurationVar(&sc.Horizon, "horizon", 5*time.Second, "virtual run time")
+	fs.DurationVar(&sc.RepairBackoff, "backoff", 0, "regional repair multicast back-off window (0 = immediate)")
+	fs.Func("workload", "multi-client publish workload: a preset (mc|bursty|vod) or 'key=val,...' with keys clients,msgs,arrival(constant|poisson|burst),gap,zipf,burst-len,burst-gap,window(from-to:factor),size-model(fixed|uniform|lognormal),size-mean,late-frac,late-at,late-spread", func(s string) (err error) {
+		sc.Workload, err = parseWorkloadSpec(s)
+		return err
+	})
+	fs.IntVar(&sc.Shards, "shards", 1, "region-sharded event loops per trial (1 = serial; aggregates are byte-identical at any width)")
+	return sc
+}
+
+// axisFlags registers the -sweep-* matrix overrides on fs. A nil axis in
+// the returned sweep means the flag was not given.
+func axisFlags(fs *flag.FlagSet) *exp.Sweep {
+	axes := &exp.Sweep{}
+	fs.Func("sweep-regions", "region vectors to sweep, e.g. '50;100;50,50' (default 50;100;30,30)", func(s string) error {
+		axes.Regions = nil
+		for _, vec := range strings.Split(s, ";") {
+			sizes, err := parseSizes(vec)
+			if err != nil {
+				return err
+			}
+			axes.Regions = append(axes.Regions, sizes)
+		}
+		return nil
+	})
+	fs.Func("sweep-losses", "loss rates to sweep, e.g. '0.05,0.2' (default 0.05,0.2)", func(s string) (err error) {
+		axes.Losses, err = parseFloats(s)
+		return err
+	})
+	fs.Func("sweep-churns", "churn rates to sweep, e.g. '0,1' (default 0,1)", func(s string) (err error) {
+		axes.Churns, err = parseFloats(s)
+		return err
+	})
+	fs.Func("sweep-crashes", "crash rates to sweep, e.g. '0,1' (default 0,1)", func(s string) (err error) {
+		axes.Crashes, err = parseFloats(s)
+		return err
+	})
+	fs.Func("sweep-partitions", "partition durations to sweep, e.g. '0,1s' (default 0,1s; 0 = no partition)", func(s string) (err error) {
+		axes.Partitions, err = parseDurations(s)
+		return err
+	})
+	fs.Func("sweep-policies", "policies to sweep, e.g. 'two-phase,fixed' (default two-phase,fixed)", func(s string) error {
+		axes.Policies = nil
+		for _, p := range strings.Split(s, ",") {
+			axes.Policies = append(axes.Policies, strings.TrimSpace(p))
+		}
+		return nil
+	})
+	fs.Func("sweep-trees", "tree shapes to sweep as 'branch:levels:members;...' (adds tree cells to -sweep; overrides the -sweep-scale grid)", func(s string) (err error) {
+		axes.Trees, err = parseTreeShapes(s)
+		return err
+	})
+	fs.Func("sweep-payloads", "payload sizes to sweep, e.g. '0,1024' (default 0,1024; 0 = historic 256)", func(s string) (err error) {
+		axes.PayloadSizes, err = parseInts(s)
+		return err
+	})
+	fs.Func("sweep-budgets", "buffer byte budgets to sweep, e.g. '0,8192' (default 0,8192; 0 = unlimited)", func(s string) (err error) {
+		axes.Budgets, err = parseInts(s)
+		return err
+	})
+	fs.Func("sweep-protocols", "protocols to sweep, e.g. 'rrmp,rmtp' (default rrmp,rmtp; rmtp families append after all rrmp cells)", func(s string) error {
+		axes.Protocols = nil
+		for _, p := range strings.Split(s, ",") {
+			p = strings.TrimSpace(p)
+			// An empty token (a trailing comma) would otherwise normalize
+			// to a second identical rrmp family instead of erroring.
+			if p != "rrmp" && p != "rmtp" {
+				return fmt.Errorf("unknown protocol %q (want rrmp or rmtp)", p)
+			}
+			axes.Protocols = append(axes.Protocols, p)
+		}
+		return nil
+	})
+	return axes
+}
+
+// sweepsFor returns the sweeps a multi-trial or -sweep run executes, all
+// starting from sc. Without -sweep that is the one cell sc describes; with
+// it, the default matrix under the -sweep-* overrides, plus — for the
+// standing record — the workload and adaptive-policy families appended
+// after it, so the record grows without a committed cell moving.
+func sweepsFor(sc exp.Scenario, axes *exp.Sweep, sweep, protocolSet, standing bool) []exp.Sweep {
+	sw := exp.Sweep{Base: sc}
+	if sweep {
+		sw = exp.DefaultSweep()
+		sw.Base = sc
+		sw.Regions = or(axes.Regions, sw.Regions)
+		sw.Trees = or(axes.Trees, sw.Trees)
+		sw.Losses = or(axes.Losses, sw.Losses)
+		sw.Churns = or(axes.Churns, sw.Churns)
+		sw.Crashes = or(axes.Crashes, sw.Crashes)
+		sw.Partitions = or(axes.Partitions, sw.Partitions)
+		sw.Policies = or(axes.Policies, sw.Policies)
+	}
+	// Byte and protocol axes: an explicit -sweep-* list wins; otherwise a
+	// scalar -payload or -budget, or an explicit -protocol, pins its axis
+	// to Base's one value — so `-sweep-payloads 512,2048 -budget 4096`
+	// reads as a payload axis × one fixed budget, and "-sweep -protocol
+	// rrmp" genuinely excludes the rmtp family.
+	switch {
+	case axes.PayloadSizes != nil:
+		sw.PayloadSizes = axes.PayloadSizes
+	case sc.PayloadBytes > 0:
+		sw.PayloadSizes = nil
+	}
+	switch {
+	case axes.Budgets != nil:
+		sw.Budgets = axes.Budgets
+	case sc.ByteBudget > 0:
+		sw.Budgets = nil
+	}
+	switch {
+	case axes.Protocols != nil:
+		sw.Protocols = axes.Protocols
+	case protocolSet:
+		sw.Protocols = nil
+	}
+	sweeps := []exp.Sweep{sw}
+	if standing {
+		for _, family := range []exp.Sweep{exp.WorkloadSweep(), exp.AdaptiveSweep()} {
+			family.Base.Shards = sc.Shards
+			sweeps = append(sweeps, family)
+		}
+	}
+	return sweeps
+}
+
+// or returns override when the flag set it, def otherwise.
+func or[T any](override, def []T) []T {
+	if override != nil {
+		return override
+	}
+	return def
+}
+
+// runSingle runs one seeded trial of the scenario's cell through the
+// kernel and prints the cell name and its sorted metrics.
+func runSingle(o runOpts, sc exp.Scenario) error {
+	sw := exp.Sweep{Base: sc}
+	if err := sw.Validate(); err != nil {
+		return err
+	}
+	cell := sw.Expand()[0]
+	if note := runner.ExecNote(sw); note != "" {
+		fmt.Fprintln(o.stderr, "rrmp-sim:", note)
+	}
+	var tl workload.Timeline
+	if o.traceReplay != "" {
+		f, err := os.Open(o.traceReplay)
+		if err != nil {
+			return fmt.Errorf("opening trace: %w", err)
+		}
+		tl, err = workload.Replay(f)
+		f.Close()
+		if err != nil {
+			return fmt.Errorf("replaying %s: %w", o.traceReplay, err)
+		}
+		if tl == nil {
+			tl = workload.Timeline{} // an empty trace replays as no publishes
+		}
+	}
+	tracer, closeTrace, err := o.tracer()
+	if err != nil {
+		return err
+	}
+	m, err := runner.RunScenarioTimeline(cell, o.seed, tl, tracer)
+	// Close the trace file explicitly so a failed flush (full disk, ...)
+	// surfaces as an error instead of an exit-0 truncated trace.
+	if cerr := closeTrace(); err == nil && cerr != nil {
+		err = fmt.Errorf("closing trace output: %w", cerr)
+	}
+	if err != nil {
+		return err
+	}
+	if o.traceRecord != "" {
+		if err := recordTimeline(o, cell); err != nil {
+			return err
+		}
+	}
+	fmt.Fprintf(o.stdout, "cell: %s (seed %d)\n", cell.Name(), o.seed)
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		fmt.Fprintf(o.stdout, "  %-28s %g\n", k, m[k])
+	}
+	return nil
+}
+
+// tracer opens the -trace/-trace-out sinks (both at once fan out to
+// both). The returned close flushes the file sink.
+func (o runOpts) tracer() (trace.Tracer, func() error, error) {
+	var sinks []io.Writer
+	closeFn := func() error { return nil }
+	if o.trace {
+		sinks = append(sinks, o.stderr)
+	}
+	if o.traceOut != "" {
+		f, err := os.Create(o.traceOut)
+		if err != nil {
+			return nil, nil, fmt.Errorf("opening trace output: %w", err)
+		}
+		sinks = append(sinks, f)
+		closeFn = f.Close
+	}
+	if len(sinks) == 0 {
+		return nil, closeFn, nil
+	}
+	return &trace.Writer{W: io.MultiWriter(sinks...)}, closeFn, nil
+}
+
+// recordTimeline writes the cell's materialized publish timeline to
+// -trace-record as rrmp-trace/v1.
+func recordTimeline(o runOpts, cell exp.Scenario) error {
+	tl, _, err := runner.TimelineFor(cell, o.seed)
+	if err != nil {
+		return err
+	}
+	f, err := os.Create(o.traceRecord)
+	if err != nil {
+		return fmt.Errorf("creating trace: %w", err)
+	}
+	if err := workload.Record(f, tl); err != nil {
+		f.Close()
+		return fmt.Errorf("recording trace: %w", err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("closing trace: %w", err)
+	}
+	fmt.Fprintf(o.stderr, "rrmp-sim: wrote %s (%d events, %d clients)\n", o.traceRecord, len(tl), tl.Clients())
+	return nil
+}
+
+// runSweeps runs the sweeps' cells through one worker pool into one
+// report and prints it.
+func runSweeps(o runOpts, sweeps ...exp.Sweep) error {
+	rep, err := runner.RunSweeps(o.options(), sweeps...)
+	if err != nil {
+		return err
+	}
+	if err := o.emit(rep, len(rep.Cells), rep.Trials, func(w io.Writer) { printReport(w, rep) }); err != nil {
+		return err
+	}
+	if o.fitness != "" {
+		return printFitness(o.stdout, rep, o.fitness)
+	}
+	return nil
+}
+
+// runScale runs the members×depth scale matrix at the given engine width,
+// timing every cell, and writes the rrmp-scale/v1 report (BENCH_scale.json
+// by default — the committed perf-trajectory record every PR
+// regenerates). The default grid appends the XL rows (10k/100k members)
+// and the 1M hash-burst row after the standing matrix; trees, when set,
+// replace the whole grid instead.
+func runScale(o runOpts, shards int, trees []exp.TreeShape) error {
+	sweeps := []exp.Sweep{exp.ScaleSweep(), exp.ScaleSweepXL(), exp.ScaleSweep1M()}
+	if trees != nil {
+		sweeps = sweeps[:1]
+		sweeps[0].Trees = trees
+	}
+	for i := range sweeps {
+		sweeps[i].Base.Shards = shards
+	}
+	rep, err := runner.RunScale(o.options(), sweeps...)
+	if err != nil {
+		return err
+	}
+	return o.emit(rep, len(rep.Cells), rep.Trials, func(w io.Writer) { printScaleReport(w, rep) })
+}
+
+// emit prints a report — as JSON with -json, otherwise as the table —
+// and writes its JSON to -out when set.
+func (o runOpts) emit(rep any, cells, trials int, table func(io.Writer)) error {
+	blob, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		return err
+	}
+	blob = append(blob, '\n')
+	if o.jsonOut {
+		if _, err := o.stdout.Write(blob); err != nil {
+			return err
+		}
+	} else {
+		table(o.stdout)
+	}
+	if o.outPath != "" {
+		if err := os.WriteFile(o.outPath, blob, 0o644); err != nil {
+			return fmt.Errorf("writing report: %w", err)
+		}
+		fmt.Fprintf(o.stderr, "rrmp-sim: wrote %s (%d cells × %d trials)\n", o.outPath, cells, trials)
+	}
+	return nil
 }
 
 // printPolicyRoster prints the policy registry in listing order: one line
@@ -331,29 +614,29 @@ func parseFloats(csv string) ([]float64, error) {
 
 // parseTreeShape parses one 'branch,levels,members' (or colon-separated)
 // balanced-tree spec.
-func parseTreeShape(spec string) (repro.TreeShape, error) {
+func parseTreeShape(spec string) (exp.TreeShape, error) {
 	sep := ","
 	if strings.Contains(spec, ":") {
 		sep = ":"
 	}
 	parts := strings.Split(spec, sep)
 	if len(parts) != 3 {
-		return repro.TreeShape{}, fmt.Errorf("tree spec %q: want branch%slevels%smembers", spec, sep, sep)
+		return exp.TreeShape{}, fmt.Errorf("tree spec %q: want branch%slevels%smembers", spec, sep, sep)
 	}
 	var vals [3]int
 	for i, p := range parts {
 		v, err := strconv.Atoi(strings.TrimSpace(p))
 		if err != nil {
-			return repro.TreeShape{}, fmt.Errorf("tree spec %q: %w", spec, err)
+			return exp.TreeShape{}, fmt.Errorf("tree spec %q: %w", spec, err)
 		}
 		vals[i] = v
 	}
-	return repro.TreeShape{Branch: vals[0], Levels: vals[1], Members: vals[2]}, nil
+	return exp.TreeShape{Branch: vals[0], Levels: vals[1], Members: vals[2]}, nil
 }
 
 // parseTreeShapes parses a semicolon-separated list of tree specs.
-func parseTreeShapes(csv string) ([]repro.TreeShape, error) {
-	var out []repro.TreeShape
+func parseTreeShapes(csv string) ([]exp.TreeShape, error) {
+	var out []exp.TreeShape
 	for _, spec := range strings.Split(csv, ";") {
 		t, err := parseTreeShape(strings.TrimSpace(spec))
 		if err != nil {
@@ -383,287 +666,18 @@ func parseDurations(csv string) ([]time.Duration, error) {
 	return out, nil
 }
 
-type sweepArgs struct {
-	sweep      bool
-	regionsCSV string
-	star       bool
-	tree       string
-	msgs       int
-	gap        time.Duration
-	loss       float64
-	// lossMode sets Sweep.LossMode: "" is the legacy shared stream,
-	// "hash" the shard-safe per-sender counter hash. Part of cell
-	// identity (it changes which packets drop), unlike shards.
-	lossMode     string
-	burst        bool
-	churn        float64
-	crash        float64
-	crashRecover time.Duration
-	partitionAt  time.Duration
-	partitionFor time.Duration
-	c            float64
-	lambda       float64
-	backoff      time.Duration
-	policy       string
-	hold         time.Duration
-	payload      int
-	payloadModel string
-	budget       int
-	protocol     string
-	// protocolSet records that -protocol was given explicitly, so even
-	// the default value "rrmp" pins the sweep's protocol axis.
-	protocolSet bool
-	seed        uint64
-	horizon     time.Duration
-	trials      int
-	parallel    int
-	// shards sets Sweep.Shards: region-sharded event loops per trial.
-	// Execution-only (like parallel) — aggregates stay byte-identical.
-	shards  int
-	json    bool
-	outPath string
-	// quiet suppresses stdout reporting (the in-process golden test only
-	// compares the -out files).
-	quiet bool
-	// workload, when set, pins the sweep's workload axis to one parsed
-	// -workload spec (multi-trial statistics for a workload cell).
-	workload string
-	// workloadFamily appends the standing WorkloadSweep matrix and the
-	// AdaptiveSweep policy family after the main sweep — the default
-	// -sweep shape BENCH_sweep.json records.
-	workloadFamily bool
-	// fitnessWeights, when non-empty, prints a fitness-ranked cell table
-	// after the report ("default" = standing weights). Display-only: it
-	// never changes the report bytes.
-	fitnessWeights string
-	swRegions      string
-	swLosses       string
-	swChurns       string
-	swCrashes      string
-	swPartitions   string
-	swPolicies     string
-	swTrees        string
-	swPayloads     string
-	swBudgets      string
-	swProtocols    string
-}
-
-// runSweep runs either the scenario matrix (-sweep) or a single-cell sweep
-// (-trials > 1 without -sweep) and reports per-cell aggregates.
-func runSweep(a sweepArgs) error {
-	if a.payload < 0 || a.budget < 0 {
-		return fmt.Errorf("-payload and -budget must be non-negative (got %d, %d)", a.payload, a.budget)
-	}
-	// Single-cell modes partition only when -partition-at is set ("0 =
-	// never"); the axis encodes "none" as duration 0. An open-ended
-	// partition (-partition-at without -partition-for) runs to the horizon.
-	pf := time.Duration(0)
-	if a.partitionAt > 0 {
-		pf = a.partitionFor
-		if pf <= 0 {
-			pf = a.horizon
-		}
-	}
-
-	var sw repro.Sweep
-	if a.sweep {
-		sw = repro.DefaultSweep()
-		if a.swRegions != "" {
-			sw.Regions = nil
-			for _, vec := range strings.Split(a.swRegions, ";") {
-				sizes, err := parseSizes(vec)
-				if err != nil {
-					return err
-				}
-				sw.Regions = append(sw.Regions, sizes)
-			}
-		}
-		var err error
-		if a.swLosses != "" {
-			if sw.Losses, err = parseFloats(a.swLosses); err != nil {
-				return err
-			}
-		}
-		if a.swChurns != "" {
-			if sw.Churns, err = parseFloats(a.swChurns); err != nil {
-				return err
-			}
-		}
-		if a.swCrashes != "" {
-			if sw.Crashes, err = parseFloats(a.swCrashes); err != nil {
-				return err
-			}
-		}
-		if a.swPartitions != "" {
-			if sw.Partitions, err = parseDurations(a.swPartitions); err != nil {
-				return err
-			}
-		}
-		if a.swPolicies != "" {
-			sw.Policies = nil
-			for _, p := range strings.Split(a.swPolicies, ",") {
-				sw.Policies = append(sw.Policies, strings.TrimSpace(p))
-			}
-		}
-		if a.swTrees != "" {
-			trees, err := parseTreeShapes(a.swTrees)
-			if err != nil {
-				return err
-			}
-			sw.Trees = trees
-		}
-	} else if a.tree != "" {
-		// Multi-trial statistics for one tree cell.
-		shape, err := parseTreeShape(a.tree)
-		if err != nil {
-			return err
-		}
-		sw = repro.Sweep{
-			Trees:      []repro.TreeShape{shape},
-			Losses:     []float64{a.loss},
-			Churns:     []float64{a.churn},
-			Crashes:    []float64{a.crash},
-			Partitions: []time.Duration{pf},
-			Policies:   []string{a.policy},
-		}
-	} else {
-		sizes, err := parseSizes(a.regionsCSV)
-		if err != nil {
-			return err
-		}
-		sw = repro.Sweep{
-			Regions:    [][]int{sizes},
-			Losses:     []float64{a.loss},
-			Churns:     []float64{a.churn},
-			Crashes:    []float64{a.crash},
-			Partitions: []time.Duration{pf},
-			Policies:   []string{a.policy},
-		}
-	}
-	// Byte axes: explicit -sweep-* lists win; otherwise a scalar -payload
-	// or -budget pins its axis to that one value, so `-sweep-payloads
-	// 512,2048 -budget 4096` reads as a payload axis × one fixed budget.
-	if a.swPayloads != "" {
-		v, err := parseInts(a.swPayloads)
-		if err != nil {
-			return err
-		}
-		sw.PayloadSizes = v
-	} else if a.payload > 0 {
-		sw.PayloadSizes = []int{a.payload}
-	}
-	if a.swBudgets != "" {
-		v, err := parseInts(a.swBudgets)
-		if err != nil {
-			return err
-		}
-		sw.Budgets = v
-	} else if a.budget > 0 {
-		sw.Budgets = []int{a.budget}
-	}
-	if a.payloadModel != "" && a.payloadModel != "fixed" {
-		sw.PayloadModel = a.payloadModel
-	}
-	// Protocol axis: an explicit -sweep-protocols list wins; otherwise an
-	// explicit scalar -protocol pins the axis to that one protocol (same
-	// rule the byte axes follow — and "-sweep -protocol rrmp" genuinely
-	// excludes the rmtp family, not just when the value is non-default).
-	if a.swProtocols != "" {
-		sw.Protocols = nil
-		for _, p := range strings.Split(a.swProtocols, ",") {
-			p = strings.TrimSpace(p)
-			// Validate here, like the other axes: an empty token (a
-			// trailing comma) would otherwise normalize to a second
-			// identical rrmp family instead of erroring.
-			if p != "rrmp" && p != "rmtp" {
-				return fmt.Errorf("-sweep-protocols: unknown protocol %q (want rrmp or rmtp)", p)
-			}
-			sw.Protocols = append(sw.Protocols, p)
-		}
-	} else if a.protocolSet || (a.protocol != "" && a.protocol != "rrmp") {
-		sw.Protocols = []string{a.protocol}
-	}
-	sw.Star = a.star
-	sw.LossMode = a.lossMode
-	sw.Burst = a.burst
-	sw.Shards = a.shards
-	sw.FixedHold = a.hold
-	sw.C = a.c
-	sw.Lambda = a.lambda
-	sw.RepairBackoff = a.backoff
-	sw.CrashRecover = a.crashRecover
-	sw.PartitionAt = a.partitionAt
-	sw.Msgs = a.msgs
-	sw.Gap = a.gap
-	sw.Horizon = a.horizon
-	if a.workload != "" {
-		spec, err := parseWorkloadSpec(a.workload)
-		if err != nil {
-			return err
-		}
-		sw.Workloads = []*repro.WorkloadSpec{spec}
-	}
-
-	// The default -sweep shape is the standing matrix plus the workload
-	// and adaptive-policy families, run through one pool into one report;
-	// each family's cells append after all earlier cells, so the committed
-	// record grows without a single pre-existing cell moving or re-byting.
-	sweeps := []repro.Sweep{sw}
-	if a.workloadFamily {
-		wf := repro.WorkloadSweep()
-		wf.Shards = a.shards
-		af := repro.AdaptiveSweep()
-		af.Shards = a.shards
-		sweeps = append(sweeps, wf, af)
-	}
-	rep, err := repro.RunSweeps(repro.SweepOptions{
-		Trials:   a.trials,
-		Parallel: a.parallel,
-		BaseSeed: a.seed,
-	}, sweeps...)
-	if err != nil {
-		return err
-	}
-
-	blob, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	blob = append(blob, '\n')
-	switch {
-	case a.quiet:
-	case a.json:
-		os.Stdout.Write(blob)
-	default:
-		printReport(rep)
-	}
-	if a.outPath != "" {
-		if err := os.WriteFile(a.outPath, blob, 0o644); err != nil {
-			return fmt.Errorf("writing report: %w", err)
-		}
-		fmt.Fprintf(os.Stderr, "rrmp-sim: wrote %s (%d cells × %d trials)\n",
-			a.outPath, len(rep.Cells), rep.Trials)
-	}
-	if a.fitnessWeights != "" && !a.quiet {
-		if err := printFitness(os.Stdout, rep, a.fitnessWeights); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // printFitness prints the fitness-ranked cell table -fitness-weights asks
 // for. Pure display over the finished report: the report bytes (stdout
 // JSON and -out file) are already written when this runs.
-func printFitness(w io.Writer, rep repro.SweepReport, spec string) error {
+func printFitness(w io.Writer, rep exp.Report, spec string) error {
 	if spec == "default" {
 		spec = ""
 	}
-	weights, err := repro.ParseFitnessWeights(spec)
+	weights, err := exp.ParseFitnessWeights(spec)
 	if err != nil {
 		return err
 	}
-	rows := repro.SweepFitness(rep, weights)
+	rows := runner.SweepFitness(rep, weights)
 	fmt.Fprintf(w, "\nfitness ranking (weights: delivery=%g bytesec=%g unrec=%g recovery=%g; costs normalized over %d cells)\n",
 		weights.Delivery, weights.ByteSeconds, weights.Unrecoverable, weights.RecoveryMs, len(rows))
 	fmt.Fprintf(w, "%4s %8s %9s %14s %13s %14s  %s\n",
@@ -675,85 +689,15 @@ func printFitness(w io.Writer, rep repro.SweepReport, spec string) error {
 	return nil
 }
 
-// scaleArgs are the -sweep-scale mode's inputs.
-type scaleArgs struct {
-	trials   int
-	parallel int
-	seed     uint64
-	// shards sets Sweep.Shards on every scale row (execution-only; the
-	// aggregate sections stay byte-identical at any width).
-	shards  int
-	json    bool
-	outPath string
-	swTrees string
-	// quiet suppresses stdout reporting (in-process tests).
-	quiet bool
-}
-
-// runScale runs the members×depth scale matrix, timing every cell, and
-// writes the rrmp-scale/v1 report (BENCH_scale.json by default — the
-// committed perf-trajectory record every PR regenerates).
-func runScale(a scaleArgs) error {
-	sw := repro.ScaleSweep()
-	sw.Shards = a.shards
-	// The default grid appends the XL rows (10k/100k members) and the 1M
-	// hash-burst row after the standing matrix; -sweep-trees replaces the
-	// whole grid instead.
-	var sweeps []repro.Sweep
-	if a.swTrees != "" {
-		trees, err := parseTreeShapes(a.swTrees)
-		if err != nil {
-			return err
-		}
-		sw.Trees = trees
-		sweeps = []repro.Sweep{sw}
-	} else {
-		xl := repro.ScaleSweepXL()
-		xl.Shards = a.shards
-		m1 := repro.ScaleSweep1M()
-		m1.Shards = a.shards
-		sweeps = []repro.Sweep{sw, xl, m1}
-	}
-	rep, err := repro.RunScale(repro.SweepOptions{
-		Trials:   a.trials,
-		Parallel: a.parallel,
-		BaseSeed: a.seed,
-	}, sweeps...)
-	if err != nil {
-		return err
-	}
-
-	blob, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	blob = append(blob, '\n')
-	switch {
-	case a.quiet:
-	case a.json:
-		os.Stdout.Write(blob)
-	default:
-		printScaleReport(rep)
-	}
-	if a.outPath != "" {
-		if err := os.WriteFile(a.outPath, blob, 0o644); err != nil {
-			return fmt.Errorf("writing scale report: %w", err)
-		}
-		fmt.Fprintf(os.Stderr, "rrmp-sim: wrote %s (%d cells × %d trials)\n",
-			a.outPath, len(rep.Cells), rep.Trials)
-	}
-	return nil
-}
-
 // printScaleReport prints the scale table: per-cell delivery, recovery and
 // the machine cost columns the record tracks.
-func printScaleReport(rep repro.ScaleReport) {
-	fmt.Printf("scale: %d cells × %d trials (base seed %d)\n", len(rep.Cells), rep.Trials, rep.BaseSeed)
-	fmt.Printf("note: %s\n\n", rep.Note)
-	fmt.Printf("%-58s %8s %8s %6s %12s %14s %12s %12s\n",
+func printScaleReport(w io.Writer, rep runner.ScaleReport) {
+	fmt.Fprintf(w, "scale: %d cells × %d trials (base seed %d)\n", len(rep.Cells), rep.Trials, rep.BaseSeed)
+	fmt.Fprintf(w, "note: %s\n\n", rep.Note)
+	fmt.Fprintf(w, "%-58s %8s %8s %6s %12s %14s %12s %12s\n",
 		"cell", "members", "regions", "depth", "delivery", "recovery(ms)", "wall(ms)", "events/s")
 	for _, cell := range rep.Cells {
-		fmt.Printf("%-58s %8d %8d %6d %12s %14s %12.0f %12.2g\n",
+		fmt.Fprintf(w, "%-58s %8d %8d %6d %12s %14s %12.0f %12.2g\n",
 			cell.Name, cell.Members, cell.Regions, cell.Depth,
 			meanCI(cell.Aggregate, runner.MKDeliveryRatio, "%.3f"),
 			meanCI(cell.Aggregate, runner.MKMeanRecoveryMs, "%.1f"),
@@ -763,8 +707,8 @@ func printScaleReport(rep repro.ScaleReport) {
 
 // printReport prints the human-readable sweep table: headline metrics as
 // mean ± 95% CI per cell.
-func printReport(rep repro.SweepReport) {
-	fmt.Printf("sweep: %d cells × %d trials (base seed %d)\n\n", len(rep.Cells), rep.Trials, rep.BaseSeed)
+func printReport(w io.Writer, rep exp.Report) {
+	fmt.Fprintf(w, "sweep: %d cells × %d trials (base seed %d)\n\n", len(rep.Cells), rep.Trials, rep.BaseSeed)
 	// Byte columns appear only when some cell engages the byte axes, so
 	// purely legacy sweeps keep their historical table width.
 	bytesSwept := false
@@ -774,7 +718,7 @@ func printReport(rep repro.SweepReport) {
 			break
 		}
 	}
-	byteCols := func(cell repro.SweepCell) string {
+	byteCols := func(cell exp.Cell) string {
 		if !bytesSwept {
 			return ""
 		}
@@ -786,10 +730,10 @@ func printReport(rep repro.SweepReport) {
 	if bytesSwept {
 		byteHeader = fmt.Sprintf(" %18s %10s", "buffer(B·s)", "pressure")
 	}
-	fmt.Printf("%-52s %16s %12s %16s %18s%s %14s\n",
+	fmt.Fprintf(w, "%-52s %16s %12s %16s %18s%s %14s\n",
 		"cell", "delivery", "min-reach", "recovery(ms)", "buffer(msg·s)", byteHeader, "packets")
 	for _, cell := range rep.Cells {
-		fmt.Printf("%-52s %16s %12s %16s %18s%s %14s\n",
+		fmt.Fprintf(w, "%-52s %16s %12s %16s %18s%s %14s\n",
 			cell.Name,
 			meanCI(cell.Aggregate, runner.MKDeliveryRatio, "%.3f"),
 			meanOnly(cell.Aggregate, runner.MKMinReachFrac, "%.2f"),
@@ -802,7 +746,7 @@ func printReport(rep repro.SweepReport) {
 }
 
 // meanCI formats a metric as "mean±ci" ("-" when absent).
-func meanCI(agg repro.TrialAggregate, name, verb string) string {
+func meanCI(agg exp.Aggregate, name, verb string) string {
 	m, ok := agg.Metric(name)
 	if !ok {
 		return "-"
@@ -811,7 +755,7 @@ func meanCI(agg repro.TrialAggregate, name, verb string) string {
 }
 
 // meanOnly formats a metric's mean ("-" when absent).
-func meanOnly(agg repro.TrialAggregate, name, verb string) string {
+func meanOnly(agg exp.Aggregate, name, verb string) string {
 	m, ok := agg.Metric(name)
 	if !ok {
 		return "-"
@@ -819,110 +763,18 @@ func meanOnly(agg repro.TrialAggregate, name, verb string) string {
 	return fmt.Sprintf(verb, m.Mean)
 }
 
-// singleArgs are the single-scenario, single-trial mode's inputs.
-type singleArgs struct {
-	regionsCSV   string
-	star         bool
-	tree         string
-	msgs         int
-	gap          time.Duration
-	loss         float64
-	lossMode     string
-	burst        bool
-	churn        float64
-	crash        float64
-	crashRecover time.Duration
-	partitionAt  time.Duration
-	partitionFor time.Duration
-	c            float64
-	lambda       float64
-	policy       string
-	hold         time.Duration
-	payload      int
-	payloadModel string
-	budget       int
-	protocol     string
-	// shards requests region-sharded event loops (1 = serial; lossy cells
-	// with the legacy shared loss stream fall back to serial).
-	shards   int
-	seed     uint64
-	horizon  time.Duration
-	doTrace  bool
-	traceOut string
-	backoff  time.Duration
-}
-
-// runSingleRMTP runs one seeded trial of the tree baseline by building the
-// equivalent scenario cell and printing its metrics: the single-run mode's
-// rich narrative output is RRMP-specific, but the cell metrics are the
-// protocol-comparable currency anyway.
-func runSingleRMTP(a singleArgs) error {
-	sc := repro.Scenario{
-		Protocol: "rmtp",
-		Loss:     a.loss,
-		LossMode: a.lossMode,
-		Burst:    a.burst,
-		Churn:    a.churn,
-		Crash:    a.crash,
-		Policy:   "server",
-		Msgs:     a.msgs,
-		Gap:      a.gap,
-		Horizon:  a.horizon,
-	}
-	if a.crash > 0 {
-		sc.CrashRecover = a.crashRecover
-	}
-	if a.partitionAt > 0 {
-		sc.PartitionAt = a.partitionAt
-		sc.PartitionDur = a.partitionFor
-	}
-	sc.PayloadBytes = a.payload
-	if a.payloadModel != "" && a.payloadModel != "fixed" {
-		sc.PayloadModel = a.payloadModel
-	}
-	sc.ByteBudget = a.budget
-	if a.tree != "" {
-		shape, err := parseTreeShape(a.tree)
-		if err != nil {
-			return err
-		}
-		sc.Tree = &shape
-	} else {
-		sizes, err := parseSizes(a.regionsCSV)
-		if err != nil {
-			return err
-		}
-		sc.Regions = sizes
-		sc.Star = a.star
-	}
-	m, err := repro.RunScenario(sc, a.seed)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("rmtp baseline: %s (seed %d)\n", sc.Name(), a.seed)
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Printf("  %-28s %g\n", k, m[k])
-	}
-	return nil
-}
-
 // parseWorkloadSpec parses the -workload flag: one of the standing
 // presets, or a comma-separated key=val spec validated as a whole.
-func parseWorkloadSpec(s string) (*repro.WorkloadSpec, error) {
+func parseWorkloadSpec(s string) (*workload.Spec, error) {
 	switch s {
 	case "mc":
-		return repro.MultiClientWorkload(), nil
+		return exp.MultiClientWorkload(), nil
 	case "bursty":
-		return repro.BurstyWorkload(), nil
+		return exp.BurstyWorkload(), nil
 	case "vod":
-		return repro.VoDPrefixPush(), nil
+		return exp.VoDPrefixPush(), nil
 	}
-	spec := &repro.WorkloadSpec{}
+	spec := &workload.Spec{}
 	for _, field := range strings.Split(s, ",") {
 		k, v, ok := strings.Cut(strings.TrimSpace(field), "=")
 		if !ok {
@@ -947,7 +799,7 @@ func parseWorkloadSpec(s string) (*repro.WorkloadSpec, error) {
 			spec.BurstGap, err = time.ParseDuration(v)
 		case "window":
 			// from-to:factor, e.g. 0s-1s:4 (repeatable).
-			var win repro.WorkloadWindow
+			var win workload.Window
 			span, factor, ok := strings.Cut(v, ":")
 			from, to, ok2 := strings.Cut(span, "-")
 			if !ok || !ok2 {
@@ -980,370 +832,4 @@ func parseWorkloadSpec(s string) (*repro.WorkloadSpec, error) {
 		return nil, fmt.Errorf("-workload: %w", err)
 	}
 	return spec, nil
-}
-
-// workloadArgs are the single-trial -workload mode's inputs.
-type workloadArgs struct {
-	single   singleArgs
-	workload string
-	// traceRecord writes the cell's materialized timeline to this file
-	// as rrmp-trace/v1 after the run.
-	traceRecord string
-	// traceReplay drives the run from this recorded rrmp-trace/v1 file
-	// instead of the generated timeline. A trace recorded from the same
-	// cell and seed replays to a byte-identical report.
-	traceReplay string
-}
-
-// runSingleWorkload runs one seeded trial of a multi-client workload cell
-// through the sweep kernel (the Group facade publishes from one sender;
-// workload cells need per-client senders) and prints the cell metrics —
-// the same currency runSingleRMTP speaks, so record and replay runs can
-// be compared byte for byte.
-func runSingleWorkload(w io.Writer, a workloadArgs) error {
-	s := a.single
-	if s.payload < 0 || s.budget < 0 {
-		return fmt.Errorf("-payload and -budget must be non-negative (got %d, %d)", s.payload, s.budget)
-	}
-	spec, err := parseWorkloadSpec(a.workload)
-	if err != nil {
-		return err
-	}
-	sc := repro.Scenario{
-		Loss: s.loss, LossMode: s.lossMode, Burst: s.burst,
-		Churn: s.churn, Crash: s.crash,
-		Policy: s.policy, FixedHold: s.hold,
-		C: s.c, Lambda: s.lambda, RepairBackoff: s.backoff,
-		Msgs: s.msgs, Gap: s.gap, Horizon: s.horizon,
-		ByteBudget: s.budget,
-		Workload:   spec,
-		Shards:     s.shards,
-	}
-	switch s.protocol {
-	case "", "rrmp":
-	case "rmtp":
-		sc.Protocol = "rmtp"
-		sc.Policy = "server"
-	default:
-		return fmt.Errorf("unknown protocol %q (want rrmp or rmtp)", s.protocol)
-	}
-	if s.crash > 0 {
-		sc.CrashRecover = s.crashRecover
-	}
-	if s.partitionAt > 0 {
-		sc.PartitionAt = s.partitionAt
-		sc.PartitionDur = s.partitionFor
-	}
-	sc.PayloadBytes = s.payload
-	if s.payloadModel != "" && s.payloadModel != "fixed" {
-		sc.PayloadModel = s.payloadModel
-	}
-	if s.tree != "" {
-		shape, err := parseTreeShape(s.tree)
-		if err != nil {
-			return err
-		}
-		sc.Tree = &shape
-	} else {
-		sizes, err := parseSizes(s.regionsCSV)
-		if err != nil {
-			return err
-		}
-		sc.Regions = sizes
-		sc.Star = s.star
-	}
-
-	var m map[string]float64
-	if a.traceReplay != "" {
-		f, err := os.Open(a.traceReplay)
-		if err != nil {
-			return fmt.Errorf("opening trace: %w", err)
-		}
-		tl, err := repro.ReplayTrace(f)
-		f.Close()
-		if err != nil {
-			return fmt.Errorf("replaying %s: %w", a.traceReplay, err)
-		}
-		if m, err = repro.RunScenarioTimeline(sc, s.seed, tl); err != nil {
-			return err
-		}
-	} else {
-		if m, err = repro.RunScenario(sc, s.seed); err != nil {
-			return err
-		}
-		if a.traceRecord != "" {
-			tl, err := repro.ScenarioTimeline(sc, s.seed)
-			if err != nil {
-				return err
-			}
-			f, err := os.Create(a.traceRecord)
-			if err != nil {
-				return fmt.Errorf("creating trace: %w", err)
-			}
-			if err := repro.RecordTrace(f, tl); err != nil {
-				f.Close()
-				return fmt.Errorf("recording trace: %w", err)
-			}
-			if err := f.Close(); err != nil {
-				return fmt.Errorf("closing trace: %w", err)
-			}
-			fmt.Fprintf(os.Stderr, "rrmp-sim: wrote %s (%d events, %d clients)\n",
-				a.traceRecord, len(tl), tl.Clients())
-		}
-	}
-	fmt.Fprintf(w, "workload cell: %s (seed %d)\n", sc.Name(), s.seed)
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(w, "  %-28s %g\n", k, m[k])
-	}
-	return nil
-}
-
-func run(a singleArgs) error {
-	if a.payload < 0 || a.budget < 0 {
-		return fmt.Errorf("-payload and -budget must be non-negative (got %d, %d)", a.payload, a.budget)
-	}
-	switch a.protocol {
-	case "", "rrmp":
-	case "rmtp":
-		if a.doTrace || a.traceOut != "" {
-			return fmt.Errorf("-trace/-trace-out observe the rrmp engine; the rmtp baseline has no tracer hook")
-		}
-		return runSingleRMTP(a)
-	default:
-		return fmt.Errorf("unknown protocol %q (want rrmp or rmtp)", a.protocol)
-	}
-	var sizes []int
-	if a.tree == "" {
-		var err error
-		if sizes, err = parseSizes(a.regionsCSV); err != nil {
-			return err
-		}
-	}
-	msgs, gap, loss, seed, horizon := a.msgs, a.gap, a.loss, a.seed, a.horizon
-	churn, policyName := a.churn, a.policy
-
-	params := repro.DefaultParams()
-	params.C = a.c
-	params.Lambda = a.lambda
-	params.RepairBackoffMax = a.backoff
-	params.ByteBudget = a.budget
-	// Fault scenarios need the failure detector so recovery routes around
-	// dead members (same rule the sweep runner applies).
-	params.FDEnabled = a.crash > 0 || a.partitionAt > 0
-
-	opts := []repro.Option{
-		repro.WithSeed(seed),
-		repro.WithParams(params),
-	}
-	if a.shards > 1 {
-		opts = append(opts, repro.WithShards(a.shards))
-	}
-	switch {
-	case a.tree != "":
-		shape, err := parseTreeShape(a.tree)
-		if err != nil {
-			return err
-		}
-		opts = append(opts, repro.WithTree(shape.Branch, shape.Levels, shape.Members))
-	case a.star:
-		opts = append(opts, repro.WithStar(sizes...))
-	default:
-		opts = append(opts, repro.WithRegions(sizes...))
-	}
-	switch a.lossMode {
-	case "", "hash":
-	default:
-		return fmt.Errorf("unknown loss mode %q (want '' or 'hash')", a.lossMode)
-	}
-	if loss > 0 {
-		if a.shards > 1 && a.lossMode != "hash" {
-			// The legacy shared loss stream only reproduces on one loop,
-			// so the run silently runs at width 1 (effectiveShards).
-			// Say so instead of letting -shards look like a no-op.
-			fmt.Fprintf(os.Stderr, "rrmp-sim: -shards %d with the legacy loss stream runs serial; use -loss-mode hash for shard-safe loss\n", a.shards)
-		}
-		switch {
-		case a.burst && a.lossMode == "hash":
-			opts = append(opts, repro.WithHashBurstLoss(loss))
-		case a.burst:
-			opts = append(opts, repro.WithBurstDataLoss(loss))
-		case a.lossMode == "hash":
-			opts = append(opts, repro.WithHashDataLoss(loss))
-		default:
-			opts = append(opts, repro.WithDataLoss(loss))
-		}
-	}
-	// The registry owns the policy grammar; a bad spec fails inside
-	// NewGroup with the registry's known-kinds menu in the error.
-	opts = append(opts, repro.WithPolicySpec(policyName), repro.WithFixedHold(a.hold))
-	// Tracing routes through the cluster's Tracer hook: -trace streams to
-	// stderr (the historic behaviour), -trace-out to a file, and both at
-	// once fan out to both sinks.
-	var traceSinks []io.Writer
-	var traceFile *os.File
-	if a.doTrace {
-		traceSinks = append(traceSinks, os.Stderr)
-	}
-	if a.traceOut != "" {
-		f, err := os.Create(a.traceOut)
-		if err != nil {
-			return fmt.Errorf("opening trace output: %w", err)
-		}
-		traceFile = f
-		defer func() {
-			if traceFile != nil {
-				traceFile.Close()
-			}
-		}()
-		traceSinks = append(traceSinks, f)
-	}
-	switch len(traceSinks) {
-	case 0:
-	case 1:
-		opts = append(opts, repro.WithTracer(&trace.Writer{W: traceSinks[0]}))
-	default:
-		opts = append(opts, repro.WithTracer(&trace.Writer{W: io.MultiWriter(traceSinks...)}))
-	}
-
-	g, err := repro.NewGroup(opts...)
-	if err != nil {
-		return err
-	}
-	g.StartSessions()
-	// One backing buffer serves every publish at its drawn size, exactly
-	// as the sweep runner does (fixed sizes draw no randomness, so legacy
-	// invocations replay identically).
-	paySizes, maxSize, err := runner.PayloadSizesFor(a.payloadModel, a.payload, msgs, seed)
-	if err != nil {
-		return err
-	}
-	payloadBuf := make([]byte, maxSize)
-	ids := make([]repro.MessageID, 0, msgs)
-	for i := 0; i < msgs; i++ {
-		i := i
-		g.At(time.Duration(i)*gap, func() { ids = append(ids, g.Publish(payloadBuf[:paySizes[i]])) })
-	}
-
-	// Churn and crashes: Poisson-timed schedules of distinct random
-	// non-sender members (the sweep runner's construction, shared so both
-	// modes produce the identical fault sequence for a seed).
-	var candidates []repro.NodeID
-	if churn > 0 || a.crash > 0 {
-		for n := repro.NodeID(0); n < repro.NodeID(g.NumMembers()); n++ {
-			if n != g.SenderID() {
-				candidates = append(candidates, n)
-			}
-		}
-	}
-	// Counted at execution time: a member drawn by both streams only has
-	// its first fault injected (the runner counts the same way).
-	leaves, crashes := 0, 0
-	if churn > 0 {
-		runner.ScheduleChurn(rng.New(seed).Split(runner.ChurnStreamLabel),
-			churn, horizon, candidates, func(at time.Duration, victim repro.NodeID) {
-				g.At(at, func() {
-					if m := g.Member(victim); m.Left() || m.Crashed() {
-						return
-					}
-					g.Leave(victim)
-					leaves++
-				})
-			})
-	}
-	if a.crash > 0 {
-		runner.ScheduleChurn(rng.New(seed).Split(runner.CrashStreamLabel),
-			a.crash, horizon, candidates, func(at time.Duration, victim repro.NodeID) {
-				g.At(at, func() {
-					if m := g.Member(victim); m.Left() || m.Crashed() {
-						return
-					}
-					g.Crash(victim)
-					crashes++
-				})
-				if a.crashRecover > 0 {
-					g.At(at+a.crashRecover, func() { g.Recover(victim) })
-				}
-			})
-	}
-	if a.partitionAt > 0 {
-		g.At(a.partitionAt, g.Partition)
-		if a.partitionFor > 0 {
-			g.At(a.partitionAt+a.partitionFor, g.Heal)
-		}
-	}
-
-	g.Run(horizon)
-
-	fmt.Printf("topology: %d members in %d regions (seed %d)\n", g.NumMembers(), g.NumRegions(), seed)
-	fmt.Printf("workload: %d messages every %v, %.0f%% DATA loss (burst=%v), policy %s\n",
-		msgs, gap, 100*loss, a.burst, policyName)
-	if churn > 0 {
-		fmt.Printf("churn:    %.2g leaves/s — %d members departed gracefully\n", churn, leaves)
-	}
-	if a.crash > 0 {
-		mode := "crash-stop"
-		if a.crashRecover > 0 {
-			mode = fmt.Sprintf("recover after %v", a.crashRecover)
-		}
-		fmt.Printf("crashes:  %.2g faults/s (%s) — %d members crashed\n", a.crash, mode, crashes)
-	}
-	if a.partitionAt > 0 {
-		heal := "never healed"
-		if a.partitionFor > 0 {
-			heal = fmt.Sprintf("healed at %v", a.partitionAt+a.partitionFor)
-		}
-		fmt.Printf("partition: cut at %v, %s\n", a.partitionAt, heal)
-	}
-	fmt.Printf("virtual time: %v\n\n", g.Now())
-
-	complete := 0
-	worst := g.NumMembers()
-	for _, id := range ids {
-		got := g.CountReceived(id)
-		if got == g.NumMembers() {
-			complete++
-		}
-		if got < worst {
-			worst = got
-		}
-	}
-	fmt.Printf("delivery: %d/%d messages fully delivered; worst message reached %d/%d members\n",
-		complete, len(ids), worst, g.NumMembers())
-
-	s := g.Stats()
-	fmt.Printf("recovery: %d local requests, %d remote requests, %d repairs, %d regional multicasts\n",
-		s.LocalRequests, s.RemoteRequests, s.Repairs, s.RegionalMulticasts)
-	if s.Searches > 0 || s.Suspects > 0 || s.Unrecoverable > 0 {
-		fmt.Printf("faults:   %d searches (%d failed), %d suspect events, %d unrecoverable losses\n",
-			s.Searches, s.SearchFailures, s.Suspects, s.Unrecoverable)
-	}
-	fmt.Printf("latency:  mean recovery %.1f ms, mean buffering %.1f ms\n",
-		s.MeanRecoveryMs, s.MeanBufferingMs)
-	if s.MeanReRecoveryMs > 0 {
-		fmt.Printf("          mean post-crash re-recovery %.1f ms\n", s.MeanReRecoveryMs)
-	}
-	fmt.Printf("buffers:  %d entries live (%d long-term); %.1f msg·s total buffering cost\n",
-		s.BufferedEntries, s.LongTermEntries, s.BufferIntegral)
-	fmt.Printf("bytes:    %d B held (worst member peaked at %d B); %.1f B·s byte cost\n",
-		s.BufferedBytes, s.PeakBufferedBytes, s.ByteIntegral)
-	if a.budget > 0 {
-		fmt.Printf("budget:   %d B per member — %d pressure evictions, %d denials\n",
-			a.budget, s.PressureEvictions, s.BudgetDenials)
-	}
-	fmt.Printf("network:  %d packets, %d bytes offered\n", g.TotalPacketsSent(), g.TotalBytesSent())
-	// Close the trace file explicitly so a failed flush (full disk, ...)
-	// surfaces as an error instead of an exit-0 truncated trace.
-	if traceFile != nil {
-		err := traceFile.Close()
-		traceFile = nil
-		if err != nil {
-			return fmt.Errorf("closing trace output: %w", err)
-		}
-	}
-	return nil
 }

@@ -3,16 +3,51 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
-	"repro"
+	"repro/internal/exp"
 	"repro/internal/policy"
+	"repro/internal/runner"
 )
+
+// cli runs the command in-process and returns its exit status, stdout and
+// stderr.
+func cli(args ...string) (int, string, string) {
+	var stdout, stderr bytes.Buffer
+	code := realMain(args, &stdout, &stderr)
+	return code, stdout.String(), stderr.String()
+}
+
+// mustCLI runs the command in-process, fails the test unless it exits 0,
+// and returns its stdout.
+func mustCLI(t *testing.T, args ...string) string {
+	t.Helper()
+	code, stdout, stderr := cli(args...)
+	if code != 0 {
+		t.Fatalf("rrmp-sim %s: exit %d\n%s", strings.Join(args, " "), code, stderr)
+	}
+	return stdout
+}
+
+// report runs the command with -out and returns the report bytes.
+func report(t *testing.T, args ...string) []byte {
+	t.Helper()
+	out := filepath.Join(t.TempDir(), "report.json")
+	mustCLI(t, append(args, "-out", out)...)
+	blob, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
 
 // TestSweepReportByteIdenticalAcrossParallelism runs the full -sweep code
 // path in-process (small topologies, the default fault axes, 2 trials)
@@ -21,36 +56,17 @@ import (
 // contract the committed BENCH_sweep.json depends on — including the new
 // crash and partition cells.
 func TestSweepReportByteIdenticalAcrossParallelism(t *testing.T) {
-	dir := t.TempDir()
-	report := func(parallel int) []byte {
-		t.Helper()
-		out := filepath.Join(dir, "sweep.json")
-		err := runSweep(sweepArgs{
-			sweep:     true,
-			swRegions: "8;6,6", // shrink topologies; keep every default axis
-			trials:    2,
-			parallel:  parallel,
-			seed:      1,
-			outPath:   out,
-			quiet:     true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		blob, err := os.ReadFile(out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return blob
+	// Shrink topologies; keep every default axis.
+	sweep := func(parallel string) []byte {
+		return report(t, "-sweep", "-sweep-regions", "8;6,6", "-trials", "2", "-parallel", parallel, "-seed", "1")
 	}
-
-	serial := report(1)
-	wide := report(4)
+	serial := sweep("1")
+	wide := sweep("4")
 	if !bytes.Equal(serial, wide) {
 		t.Fatal("sweep report bytes differ between -parallel 1 and -parallel 4")
 	}
 
-	var rep repro.SweepReport
+	var rep exp.Report
 	if err := json.Unmarshal(serial, &rep); err != nil {
 		t.Fatalf("report is not valid JSON: %v", err)
 	}
@@ -143,40 +159,17 @@ func TestSweepReportByteIdenticalAcrossParallelism(t *testing.T) {
 // the ≥ 0.99 survivor bound is an RRMP property (an orphaned rmtp region
 // legitimately stalls — that regime has its own tests).
 func TestBudgetSweepPressureAndDeterminism(t *testing.T) {
-	dir := t.TempDir()
-	report := func(parallel int) []byte {
-		t.Helper()
-		out := filepath.Join(dir, "budget_sweep.json")
-		if err := runSweep(sweepArgs{
-			sweep:       true,
-			swRegions:   "8;6,6",
-			swPayloads:  "512,1024",
-			swProtocols: "rrmp",
-			budget:      16384,
-			c:           6, lambda: 1, hold: 500 * time.Millisecond,
-			msgs: 20, gap: 20 * time.Millisecond, horizon: 5 * time.Second,
-			trials:   2,
-			parallel: parallel,
-			seed:     1,
-			outPath:  out,
-			quiet:    true,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		blob, err := os.ReadFile(out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return blob
+	sweep := func(parallel string) []byte {
+		return report(t, "-sweep", "-sweep-regions", "8;6,6", "-sweep-payloads", "512,1024",
+			"-sweep-protocols", "rrmp", "-budget", "16384", "-trials", "2", "-parallel", parallel, "-seed", "1")
 	}
-
-	serial := report(1)
-	wide := report(8)
+	serial := sweep("1")
+	wide := sweep("8")
 	if !bytes.Equal(serial, wide) {
 		t.Fatal("budget sweep report bytes differ between -parallel 1 and -parallel 8")
 	}
 
-	var rep repro.SweepReport
+	var rep exp.Report
 	if err := json.Unmarshal(serial, &rep); err != nil {
 		t.Fatal(err)
 	}
@@ -227,36 +220,14 @@ func TestSweepReportMatchesGolden(t *testing.T) {
 	// -shards is an execution knob like -parallel: the golden bytes must
 	// survive the region-sharded engine at any width.
 	for _, shards := range []int{1, 8} {
-		out := filepath.Join(t.TempDir(), "sweep.json")
-		if err := runSweep(sweepArgs{
-			sweep:       true,
-			swRegions:   "8;6,6",
-			swPayloads:  "0",
-			swBudgets:   "0",
-			swProtocols: "rrmp",
-			// Flag defaults the CLI bakes into every sweep, spelled out because
-			// runSweep is invoked below flag parsing.
-			c: 6, lambda: 1, hold: 500 * time.Millisecond,
-			msgs: 20, gap: 20 * time.Millisecond, horizon: 5 * time.Second,
-			trials:   2,
-			parallel: 4,
-			shards:   shards,
-			seed:     1,
-			outPath:  out,
-			quiet:    true,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		got, err := os.ReadFile(out)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := report(t, "-sweep", "-sweep-regions", "8;6,6", "-sweep-payloads", "0", "-sweep-budgets", "0",
+			"-sweep-protocols", "rrmp", "-trials", "2", "-parallel", "4", "-shards", fmt.Sprint(shards), "-seed", "1")
 		// At -shards 8 the report gains the top-level exec note (the
 		// miniature's lossy legacy cells fall back to serial); the golden
 		// predates it, so strip the note — and pin that it appears exactly
 		// when it should — before the byte comparison. The cells
 		// themselves must match byte for byte.
-		var rep repro.SweepReport
+		var rep exp.Report
 		if err := json.Unmarshal(got, &rep); err != nil {
 			t.Fatalf("-shards %d sweep report is not valid JSON: %v", shards, err)
 		}
@@ -285,26 +256,11 @@ func TestSweepReportMatchesGolden(t *testing.T) {
 // byte-identical, extending the sweep determinism contract to the new
 // scale cells.
 func TestScaleAggregatesByteIdenticalAcrossParallelism(t *testing.T) {
-	dir := t.TempDir()
-	report := func(parallel, shards int) []byte {
+	scale := func(parallel, shards string) []byte {
 		t.Helper()
-		out := filepath.Join(dir, "scale.json")
-		if err := runScale(scaleArgs{
-			trials:   2,
-			parallel: parallel,
-			shards:   shards,
-			seed:     1,
-			outPath:  out,
-			swTrees:  "4:2:120;4:3:150",
-			quiet:    true,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		blob, err := os.ReadFile(out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var rep repro.ScaleReport
+		blob := report(t, "-sweep-scale", "-sweep-trees", "4:2:120;4:3:150", "-trials", "2",
+			"-parallel", parallel, "-shards", shards, "-seed", "1")
+		var rep runner.ScaleReport
 		if err := json.Unmarshal(blob, &rep); err != nil {
 			t.Fatalf("scale report is not valid JSON: %v", err)
 		}
@@ -325,33 +281,23 @@ func TestScaleAggregatesByteIdenticalAcrossParallelism(t *testing.T) {
 		return canon
 	}
 
-	serial := report(1, 1)
-	wide := report(8, 1)
+	serial := scale("1", "1")
+	wide := scale("8", "1")
 	if !bytes.Equal(serial, wide) {
 		t.Fatal("scale aggregates differ between -parallel 1 and -parallel 8")
 	}
-	sharded := report(8, 4)
+	sharded := scale("8", "4")
 	if !bytes.Equal(serial, sharded) {
 		t.Fatal("scale aggregates differ between -shards 1 and -shards 4")
 	}
 }
 
 // TestTreeSingleRun drives the single-scenario mode on a depth-3 balanced
-// tree (the -tree flag's path through repro.WithTree).
+// tree (the -tree flag's path through Scenario.Tree).
 func TestTreeSingleRun(t *testing.T) {
-	err := run(singleArgs{
-		tree:    "3,3,130",
-		msgs:    5,
-		gap:     20e6,
-		loss:    0.1,
-		c:       4,
-		lambda:  1,
-		policy:  "two-phase",
-		seed:    2,
-		horizon: 2e9,
-	})
-	if err != nil {
-		t.Fatal(err)
+	out := mustCLI(t, "-tree", "3,3,130", "-msgs", "5", "-loss", "0.1", "-c", "4", "-seed", "2", "-horizon", "2s")
+	if !strings.HasPrefix(out, "cell: regions=tree:b3d3m130 ") {
+		t.Fatalf("tree cell output:\n%s", out)
 	}
 }
 
@@ -361,7 +307,7 @@ func TestParseTreeShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []repro.TreeShape{{Branch: 4, Levels: 3, Members: 1000}, {Branch: 2, Levels: 4, Members: 500}}
+	want := []exp.TreeShape{{Branch: 4, Levels: 3, Members: 1000}, {Branch: 2, Levels: 4, Members: 500}}
 	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("parseTreeShapes = %v", got)
 	}
@@ -379,45 +325,20 @@ func TestParseTreeShapes(t *testing.T) {
 // crash and partition flags (cmd/ previously had zero test files; this
 // covers the non-sweep path too).
 func TestSingleRunWithFaults(t *testing.T) {
-	err := run(singleArgs{
-		regionsCSV:   "10,10",
-		msgs:         5,
-		gap:          20e6, // 20 ms
-		loss:         0.2,
-		crash:        1,
-		crashRecover: 500e6, // 500 ms
-		partitionAt:  400e6,
-		partitionFor: 300e6,
-		c:            4,
-		lambda:       1,
-		policy:       "two-phase",
-		seed:         3,
-		horizon:      3e9,
-	})
-	if err != nil {
-		t.Fatal(err)
+	out := mustCLI(t, "-regions", "10,10", "-msgs", "5", "-loss", "0.2", "-crash", "1", "-crash-recover", "500ms",
+		"-partition-at", "400ms", "-partition-for", "300ms", "-c", "4", "-seed", "3", "-horizon", "3s")
+	if !strings.Contains(out, "crash=1/500ms part=400ms/300ms") || !strings.Contains(out, "partition_drops") {
+		t.Fatalf("fault cell output:\n%s", out)
 	}
 }
 
 // TestSingleRunWithBudget drives the single-scenario mode end to end with
 // a lognormal payload model and a binding byte budget.
 func TestSingleRunWithBudget(t *testing.T) {
-	err := run(singleArgs{
-		regionsCSV:   "10",
-		msgs:         10,
-		gap:          20e6, // 20 ms
-		loss:         0.1,
-		c:            4,
-		lambda:       1,
-		policy:       "two-phase",
-		payload:      1024,
-		payloadModel: "lognormal",
-		budget:       4096,
-		seed:         5,
-		horizon:      3e9,
-	})
-	if err != nil {
-		t.Fatal(err)
+	out := mustCLI(t, "-regions", "10", "-msgs", "10", "-loss", "0.1", "-c", "4", "-payload", "1024",
+		"-payload-model", "lognormal", "-budget", "4096", "-seed", "5", "-horizon", "3s")
+	if !strings.Contains(out, "payload=lognormal:1024 budget=4096") || !strings.Contains(out, "pressure_evictions") {
+		t.Fatalf("budget cell output:\n%s", out)
 	}
 }
 
@@ -438,11 +359,11 @@ func TestParseInts(t *testing.T) {
 	if _, err := parseInts("-8192"); err == nil {
 		t.Fatal("negative value accepted")
 	}
-	if err := runSweep(sweepArgs{sweep: true, budget: -1, trials: 1}); err == nil {
-		t.Fatal("negative -budget accepted by runSweep")
+	if code, _, _ := cli("-sweep", "-budget", "-1", "-out", ""); code == 0 {
+		t.Fatal("negative -budget accepted by -sweep")
 	}
-	if err := run(singleArgs{regionsCSV: "4", payload: -1, msgs: 1, gap: 1e6, horizon: 1e8, policy: "two-phase", c: 4, lambda: 1}); err == nil {
-		t.Fatal("negative -payload accepted by run")
+	if code, _, _ := cli("-regions", "4", "-payload", "-1", "-msgs", "1"); code == 0 {
+		t.Fatal("negative -payload accepted by the single trial")
 	}
 }
 
@@ -451,40 +372,17 @@ func TestParseInts(t *testing.T) {
 // byte-identical at -parallel 1 and 8, append every rmtp cell after every
 // rrmp cell, and keep the per-protocol key disciplines intact.
 func TestProtocolSweepMiniature(t *testing.T) {
-	dir := t.TempDir()
-	report := func(parallel int) []byte {
-		t.Helper()
-		out := filepath.Join(dir, "protocol_sweep.json")
-		if err := runSweep(sweepArgs{
-			sweep:       true,
-			swRegions:   "8;6,6",
-			swPayloads:  "0,512",
-			swBudgets:   "0",
-			swProtocols: "rrmp,rmtp",
-			c:           6, lambda: 1, hold: 500 * time.Millisecond,
-			msgs: 20, gap: 20 * time.Millisecond, horizon: 5 * time.Second,
-			trials:   2,
-			parallel: parallel,
-			seed:     1,
-			outPath:  out,
-			quiet:    true,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		blob, err := os.ReadFile(out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return blob
+	sweep := func(parallel string) []byte {
+		return report(t, "-sweep", "-sweep-regions", "8;6,6", "-sweep-payloads", "0,512", "-sweep-budgets", "0",
+			"-sweep-protocols", "rrmp,rmtp", "-trials", "2", "-parallel", parallel, "-seed", "1")
 	}
-
-	serial := report(1)
-	wide := report(8)
+	serial := sweep("1")
+	wide := sweep("8")
 	if !bytes.Equal(serial, wide) {
 		t.Fatal("protocol sweep report bytes differ between -parallel 1 and -parallel 8")
 	}
 
-	var rep repro.SweepReport
+	var rep exp.Report
 	if err := json.Unmarshal(serial, &rep); err != nil {
 		t.Fatal(err)
 	}
@@ -520,25 +418,18 @@ func TestProtocolSweepMiniature(t *testing.T) {
 // TestSingleRunRMTP drives the -protocol rmtp single-scenario mode end to
 // end, faults included.
 func TestSingleRunRMTP(t *testing.T) {
-	err := run(singleArgs{
-		protocol:     "rmtp",
-		regionsCSV:   "10,10",
-		msgs:         5,
-		gap:          20e6,
-		loss:         0.2,
-		crash:        1,
-		crashRecover: 500e6,
-		c:            6,
-		lambda:       1,
-		policy:       "two-phase", // ignored by the baseline
-		seed:         3,
-		horizon:      3e9,
-	})
-	if err != nil {
-		t.Fatal(err)
+	// -policy is ignored by the baseline: rmtp cells run the repair server.
+	out := mustCLI(t, "-protocol", "rmtp", "-regions", "10,10", "-msgs", "5", "-loss", "0.2", "-crash", "1",
+		"-crash-recover", "500ms", "-policy", "fixed", "-seed", "3", "-horizon", "3s")
+	if !strings.Contains(out, "proto=rmtp policy=server") || !strings.Contains(out, "nak_sent") {
+		t.Fatalf("rmtp cell output:\n%s", out)
 	}
-	if err := run(singleArgs{protocol: "bogus", regionsCSV: "4", msgs: 1, gap: 1e6, horizon: 1e8, policy: "two-phase", c: 4, lambda: 1}); err == nil {
+	if code, _, _ := cli("-protocol", "bogus", "-regions", "4", "-msgs", "1"); code == 0 {
 		t.Fatal("bogus -protocol accepted")
+	}
+	// The baseline has no tracer hook.
+	if code, _, stderr := cli("-protocol", "rmtp", "-regions", "4", "-msgs", "1", "-trace"); code == 0 || !strings.Contains(stderr, "tracer") {
+		t.Fatalf("-protocol rmtp -trace: exit %d, stderr %q", code, stderr)
 	}
 }
 
@@ -546,28 +437,22 @@ func TestSingleRunRMTP(t *testing.T) {
 // the cluster Tracer hook into the named file instead of unconditionally
 // spamming stderr.
 func TestTraceOutWritesFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "trace.log")
-	err := run(singleArgs{
-		regionsCSV: "6",
-		msgs:       3,
-		gap:        10e6,
-		loss:       0.3,
-		c:          4,
-		lambda:     1,
-		policy:     "two-phase",
-		seed:       4,
-		horizon:    2e9,
-		traceOut:   path,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(blob, []byte("DELIVER")) {
-		t.Fatalf("trace file has no DELIVER events; got %d bytes", len(blob))
+	for _, workload := range []string{"", "clients=2,msgs=4,arrival=constant,gap=10ms"} {
+		path := filepath.Join(t.TempDir(), "trace.log")
+		args := []string{"-regions", "6", "-msgs", "3", "-gap", "10ms", "-loss", "0.3", "-c", "4",
+			"-seed", "4", "-horizon", "2s", "-trace-out", path}
+		if workload != "" {
+			// Workload cells run on the same traced kernel.
+			args = append(args, "-workload", workload)
+		}
+		mustCLI(t, args...)
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(blob, []byte("DELIVER")) {
+			t.Fatalf("workload %q: trace file has no DELIVER events; got %d bytes", workload, len(blob))
+		}
 	}
 }
 
@@ -596,6 +481,11 @@ func TestParseWorkloadSpec(t *testing.T) {
 		"clients=4,msgs=8,arrival=warp", // unknown arrival
 		"clients=4,msgs=8,window=1s:4",  // malformed window
 		"clients=4,msgs=8,frobnicate=1", // unknown key
+		"clients=2,msgs=4,arrival=constant,gap=10ms,zipf=NaN",          // NaN skew
+		"clients=2,msgs=4,arrival=constant,gap=10ms,window=0s-1s:NaN",  // NaN factor
+		"clients=2,msgs=4,arrival=constant,gap=10ms,late-frac=NaN",     // NaN fraction
+		"clients=2,msgs=4,arrival=constant,gap=10ms,zipf=+Inf",         // infinite skew
+		"clients=2,msgs=4,arrival=constant,gap=10ms,window=0s-1s:+Inf", // infinite factor
 	} {
 		if _, err := parseWorkloadSpec(bad); err == nil {
 			t.Fatalf("spec %q accepted", bad)
@@ -608,18 +498,8 @@ func TestParseWorkloadSpec(t *testing.T) {
 // that file print byte-identical metrics.
 func TestWorkloadRecordReplayByteIdentical(t *testing.T) {
 	trace := filepath.Join(t.TempDir(), "mc.trace")
-	base := singleArgs{
-		regionsCSV: "10,10", loss: 0.1, lossMode: "hash",
-		c: 6, lambda: 1, policy: "two-phase", hold: 500 * time.Millisecond,
-		msgs: 20, gap: 20 * time.Millisecond, horizon: 5 * time.Second,
-		seed: 7,
-	}
-	var recorded bytes.Buffer
-	if err := runSingleWorkload(&recorded, workloadArgs{
-		single: base, workload: "mc", traceRecord: trace,
-	}); err != nil {
-		t.Fatal(err)
-	}
+	base := []string{"-regions", "10,10", "-loss", "0.1", "-loss-mode", "hash", "-workload", "mc", "-seed", "7"}
+	recorded := mustCLI(t, append(base, "-trace-record", trace)...)
 	blob, err := os.ReadFile(trace)
 	if err != nil {
 		t.Fatal(err)
@@ -627,26 +507,19 @@ func TestWorkloadRecordReplayByteIdentical(t *testing.T) {
 	if !bytes.HasPrefix(blob, []byte("rrmp-trace/v1\n")) {
 		t.Fatalf("trace lacks the schema header: %q", blob[:20])
 	}
-	var replayed bytes.Buffer
-	if err := runSingleWorkload(&replayed, workloadArgs{
-		single: base, workload: "mc", traceReplay: trace,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if recorded.String() != replayed.String() {
+	replayed := mustCLI(t, append(base, "-trace-replay", trace)...)
+	if recorded != replayed {
 		t.Fatalf("replay output differs from recording run:\n--- recorded ---\n%s--- replayed ---\n%s",
-			recorded.String(), replayed.String())
+			recorded, replayed)
 	}
-	if !bytes.Contains(recorded.Bytes(), []byte("wl=poisson:c8:m64")) {
-		t.Fatalf("output lacks the workload token:\n%s", recorded.String())
+	if !strings.Contains(recorded, "wl=poisson:c8:m64") {
+		t.Fatalf("output lacks the workload token:\n%s", recorded)
 	}
 	// A truncated trace must be rejected loudly, not replayed short.
 	if err := os.WriteFile(trace, blob[:len(blob)-3], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := runSingleWorkload(io.Discard, workloadArgs{
-		single: base, workload: "mc", traceReplay: trace,
-	}); err == nil {
+	if code, _, _ := cli(append(base, "-trace-replay", trace)...); code == 0 {
 		t.Fatal("truncated trace accepted")
 	}
 }
@@ -657,26 +530,13 @@ func TestWorkloadRecordReplayByteIdentical(t *testing.T) {
 // the workload-only keys, and leave the base cells' names and key sets
 // untouched.
 func TestSweepWorkloadFamilyAppends(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "sweep.json")
-	if err := runSweep(sweepArgs{
-		sweep:     true,
-		swRegions: "6", // shrink the base matrix; the family keeps its real shape
-		c:         6, lambda: 1, hold: 500 * time.Millisecond,
-		msgs: 20, gap: 20 * time.Millisecond, horizon: 5 * time.Second,
-		trials:         1,
-		seed:           1,
-		outPath:        out,
-		quiet:          true,
-		workloadFamily: true,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := os.ReadFile(out)
+	// Shrink the base matrix; the families keep their real shape. (A
+	// -sweep-regions flag would count as customizing and drop them, so
+	// the standing sweep list is built directly.)
+	sc := *scenarioFlags(flag.NewFlagSet("test", flag.PanicOnError))
+	sweeps := sweepsFor(sc, &exp.Sweep{Regions: [][]int{{6}}}, true, false, true)
+	rep, err := runner.RunSweeps(exp.Options{Trials: 1, BaseSeed: 1}, sweeps...)
 	if err != nil {
-		t.Fatal(err)
-	}
-	var rep repro.SweepReport
-	if err := json.Unmarshal(blob, &rep); err != nil {
 		t.Fatal(err)
 	}
 	firstWL := -1
@@ -733,24 +593,9 @@ func TestSweepWorkloadFamilyAppends(t *testing.T) {
 // TestSweepWorkloadAxisPinned covers -workload in multi-trial mode: the
 // flag pins the sweep's workload axis to that one spec.
 func TestSweepWorkloadAxisPinned(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "cell.json")
-	if err := runSweep(sweepArgs{
-		regionsCSV: "8,8", loss: 0.1, lossMode: "hash",
-		c: 6, lambda: 1, hold: 500 * time.Millisecond, policy: "two-phase",
-		msgs: 10, gap: 20 * time.Millisecond, horizon: 3 * time.Second,
-		trials:   2,
-		seed:     1,
-		workload: "bursty",
-		outPath:  out,
-		quiet:    true,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep repro.SweepReport
+	blob := report(t, "-regions", "8,8", "-loss", "0.1", "-loss-mode", "hash", "-msgs", "10", "-horizon", "3s",
+		"-trials", "2", "-seed", "1", "-workload", "bursty")
+	var rep exp.Report
 	if err := json.Unmarshal(blob, &rep); err != nil {
 		t.Fatal(err)
 	}
@@ -813,43 +658,22 @@ func TestListPoliciesRoster(t *testing.T) {
 // specs, and the report written to -out is byte-identical with and
 // without the flag.
 func TestFitnessTableDisplayOnly(t *testing.T) {
-	runOnce := func(dir string, weights string) (string, *bytes.Buffer) {
-		t.Helper()
-		out := filepath.Join(dir, "sweep.json")
-		if err := runSweep(sweepArgs{
-			regionsCSV: "8", loss: 0.2, c: 6, lambda: 1, hold: 500 * time.Millisecond,
-			msgs: 5, gap: 20 * time.Millisecond, horizon: 2 * time.Second,
-			trials: 2, seed: 1, outPath: out, quiet: true,
-			policy: "two-phase",
-		}); err != nil {
-			t.Fatal(err)
-		}
-		blob, err := os.ReadFile(out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var rep repro.SweepReport
-		if err := json.Unmarshal(blob, &rep); err != nil {
-			t.Fatal(err)
-		}
-		var table bytes.Buffer
-		if weights != "" {
-			if err := printFitness(&table, rep, weights); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return string(blob), &table
+	args := []string{"-regions", "8", "-loss", "0.2", "-msgs", "5", "-horizon", "2s", "-trials", "2", "-seed", "1"}
+	plain := report(t, args...)
+	scoredPath := filepath.Join(t.TempDir(), "scored.json")
+	table := mustCLI(t, append(args, "-out", scoredPath, "-fitness-weights", "default")...)
+	scored, err := os.ReadFile(scoredPath)
+	if err != nil {
+		t.Fatal(err)
 	}
-	plain, _ := runOnce(t.TempDir(), "")
-	scored, table := runOnce(t.TempDir(), "default")
-	if plain != scored {
+	if !bytes.Equal(plain, scored) {
 		t.Fatal("-fitness-weights changed the report bytes")
 	}
-	if !strings.Contains(table.String(), "fitness ranking") || !strings.Contains(table.String(), "policy=two-phase") {
-		t.Fatalf("fitness table lacks ranking or cell name:\n%s", table.String())
+	if !strings.Contains(table, "fitness ranking") || !strings.Contains(table, "policy=two-phase") {
+		t.Fatalf("fitness table lacks ranking or cell name:\n%s", table)
 	}
-	var rep repro.SweepReport
-	if err := json.Unmarshal([]byte(plain), &rep); err != nil {
+	var rep exp.Report
+	if err := json.Unmarshal(plain, &rep); err != nil {
 		t.Fatal(err)
 	}
 	if err := printFitness(io.Discard, rep, "delivery=x"); err == nil {
@@ -858,4 +682,100 @@ func TestFitnessTableDisplayOnly(t *testing.T) {
 	if err := printFitness(io.Discard, rep, "bogus=1"); err == nil {
 		t.Fatal("unknown weight key accepted")
 	}
+}
+
+// TestSingleTrialIsRunScenario pins the one-scenario path: a single trial
+// of a lossy rrmp cell prints exactly RunScenario's metrics for the
+// flags' scenario and seed, and -trials reports the same cell name.
+func TestSingleTrialIsRunScenario(t *testing.T) {
+	sc := exp.Scenario{Regions: []int{30, 30}, Loss: 0.2, Churn: 1, Crash: 1, CrashRecover: 300 * time.Millisecond,
+		Policy: "two-phase", FixedHold: 500 * time.Millisecond, C: 6, Lambda: 1,
+		Msgs: 20, Gap: 20 * time.Millisecond, Horizon: 5 * time.Second}
+	m, err := runner.RunScenario(sc, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("cell: %s (seed 3)\n", sc.Name())
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		want += fmt.Sprintf("  %-28s %g\n", k, m[k])
+	}
+	args := []string{"-regions", "30,30", "-loss", "0.2", "-churn", "1", "-crash", "1", "-crash-recover", "300ms", "-seed", "3"}
+	if got := mustCLI(t, args...); got != want {
+		t.Fatalf("single trial output differs from RunScenario:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+	var rep exp.Report
+	if err := json.Unmarshal(report(t, append(args, "-trials", "2")...), &rep); err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Cells) != 1 || rep.Cells[0].Name != sc.Name() {
+		t.Fatalf("-trials 2 reports %d cells, first %q; want one cell %q", len(rep.Cells), rep.Cells[0].Name, sc.Name())
+	}
+}
+
+// TestInvalidInputExits pins the one input check at the CLI: inputs that
+// used to hang (a negative horizon is the engine's run-to-exhaustion
+// sentinel), panic (a negative message count) or run silently now exit
+// with an error in every mode.
+func TestInvalidInputExits(t *testing.T) {
+	for _, args := range [][]string{
+		{"-regions", "10", "-horizon", "-1s"},
+		{"-msgs", "-5"},
+		{"-loss", "1.5"},
+		{"-loss", "NaN"},
+		{"-crash", "NaN"},
+		{"-churn", "-1"},
+		{"-loss-mode", "shared"},
+		{"-trials", "2", "-msgs", "-1", "-out", ""},
+		{"-sweep", "-sweep-regions", "6", "-gap", "-1ms", "-out", ""},
+		{"-sweep", "-sweep-losses", "0.1,NaN", "-out", ""},
+	} {
+		done := make(chan int, 1)
+		go func() {
+			code, _, _ := cli(args...)
+			done <- code
+		}()
+		select {
+		case code := <-done:
+			if code == 0 {
+				t.Errorf("rrmp-sim %s: exit 0, want an error", strings.Join(args, " "))
+			}
+		case <-time.After(time.Minute):
+			t.Fatalf("rrmp-sim %s: still running after a minute", strings.Join(args, " "))
+		}
+	}
+}
+
+// FuzzWorkloadSpec fuzzes the -workload grammar: parsing never panics,
+// and an accepted spec materializes a valid timeline with exactly
+// spec.Msgs events.
+func FuzzWorkloadSpec(f *testing.F) {
+	for _, seed := range []string{
+		"mc", "bursty", "vod",
+		"clients=4,msgs=32,arrival=burst,gap=200ms,burst-len=4,burst-gap=5ms,window=0s-1s:4,window=2s-4s:0.5,size-model=lognormal,size-mean=512,zipf=1.1",
+		"clients=1,msgs=6,arrival=constant,gap=20ms,late-frac=0.5,late-at=1s,late-spread=500ms",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		spec, err := parseWorkloadSpec(s)
+		if err != nil {
+			return
+		}
+		// Bound the materialization, not the grammar.
+		if spec.Msgs > 1<<12 || spec.Clients > 1<<8 {
+			t.Skip()
+		}
+		tl, err := spec.Timeline(1)
+		if err != nil {
+			t.Fatalf("accepted spec %q does not materialize: %v", s, err)
+		}
+		if !tl.Valid() || len(tl) != spec.Msgs {
+			t.Fatalf("accepted spec %q: %d events (valid=%v), want %d", s, len(tl), tl.Valid(), spec.Msgs)
+		}
+	})
 }

@@ -297,11 +297,10 @@ func TestRunSweepValidatesPolicies(t *testing.T) {
 
 func TestSweepExpansionFaultAxes(t *testing.T) {
 	sw := Sweep{
-		Regions:      [][]int{{10}},
-		Crashes:      []float64{0, 2},
-		CrashRecover: time.Second,
-		Partitions:   []time.Duration{0, 500 * time.Millisecond},
-		PartitionAt:  2 * time.Second,
+		Base:       Scenario{CrashRecover: time.Second, PartitionAt: 2 * time.Second},
+		Regions:    [][]int{{10}},
+		Crashes:    []float64{0, 2},
+		Partitions: []time.Duration{0, 500 * time.Millisecond},
 	}
 	cells := sw.Expand()
 	if len(cells) != 4 {

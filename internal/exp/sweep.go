@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -187,82 +188,120 @@ func (s Scenario) Name() string {
 	return name + " policy=" + s.Policy
 }
 
-// Sweep declares a scenario matrix. Expand takes the cartesian product of
-// the four swept dimensions; the scalar fields apply to every cell. Empty
-// dimensions default to a single baseline value, so a zero Sweep expands to
-// one lossless, churn-free, two-phase cell.
+// Validate rejects a scenario no trial can run: NaN, negative or
+// out-of-range numeric fields, and unknown protocols or loss modes. Zero
+// values stay valid — they mean "default" or "none" — so a partially
+// filled scenario (a Sweep's Base) validates too. A Workload must pass its
+// own Validate; policy specs are checked by the kernel that interprets
+// them.
+func (s Scenario) Validate() error {
+	switch s.Protocol {
+	case "", "rrmp", "rmtp":
+	default:
+		return fmt.Errorf("exp: unknown protocol %q (want rrmp or rmtp)", s.Protocol)
+	}
+	switch s.LossMode {
+	case "", "hash":
+	default:
+		return fmt.Errorf("exp: unknown loss mode %q (want '' or 'hash')", s.LossMode)
+	}
+	if !(s.Loss >= 0 && s.Loss <= 1) {
+		return fmt.Errorf("exp: loss %g outside [0,1]", s.Loss)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"churn", s.Churn}, {"crash", s.Crash}, {"c", s.C}, {"lambda", s.Lambda}} {
+		if !(f.v >= 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("exp: %s %g is not a finite non-negative rate", f.name, f.v)
+		}
+	}
+	for _, f := range []struct {
+		name string
+		v    time.Duration
+	}{
+		{"gap", s.Gap}, {"horizon", s.Horizon}, {"crash-recover", s.CrashRecover},
+		{"partition-at", s.PartitionAt}, {"partition-dur", s.PartitionDur},
+		{"fixed-hold", s.FixedHold}, {"repair-backoff", s.RepairBackoff},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("exp: negative %s %v", f.name, f.v)
+		}
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"msgs", s.Msgs}, {"payload", s.PayloadBytes}, {"budget", s.ByteBudget}} {
+		if f.v < 0 {
+			return fmt.Errorf("exp: negative %s %d", f.name, f.v)
+		}
+	}
+	if s.Workload != nil {
+		return s.Workload.Validate()
+	}
+	return nil
+}
+
+// Sweep declares a scenario matrix: a Base scenario plus axis lists.
+// Expand starts every cell from Base and takes the cartesian product of
+// the axes, each value overwriting its field; an empty axis keeps Base's
+// own value, so Sweep{Base: sc} expands to exactly sc (after the defaults
+// Expand documents).
 type Sweep struct {
-	// Regions lists the region-size vectors to sweep (default [[100]]).
+	// Base is the scenario every cell starts from: it carries the fields
+	// no axis sweeps (Star, LossMode, Burst, CrashRecover, FixedHold, C,
+	// Lambda, RepairBackoff, Gap, PayloadModel, Shards, ...) and the value
+	// of every axis left empty. Its PartitionAt is where partition axis
+	// episodes begin (default Horizon/4).
+	Base Scenario `json:"base"`
+	// Regions lists the region-size vectors to sweep.
 	Regions [][]int `json:"regions,omitempty"`
-	// Star applies to every Regions cell (chain hierarchy otherwise).
-	Star bool `json:"star,omitempty"`
 	// Trees lists balanced multi-level hierarchies to sweep in addition to
 	// Regions. Tree cells expand after all Regions cells, so adding a tree
-	// axis never moves legacy cell positions.
+	// axis never moves legacy cell positions. With both topology axes
+	// empty, Base's topology applies (a single 100-member region when
+	// Base has none).
 	Trees []TreeShape `json:"trees,omitempty"`
-	// Losses lists DATA loss probabilities (default [0]).
+	// Losses lists DATA loss probabilities.
 	Losses []float64 `json:"losses,omitempty"`
-	// Burst applies to every lossy cell.
-	Burst bool `json:"burst,omitempty"`
-	// Churns lists graceful-leave rates in members/second (default [0]).
+	// Churns lists graceful-leave rates in members/second.
 	Churns []float64 `json:"churns,omitempty"`
-	// Crashes lists crash-fault rates in members/second (default [0]).
+	// Crashes lists crash-fault rates in members/second.
 	Crashes []float64 `json:"crashes,omitempty"`
-	// CrashRecover applies to every crash cell: downtime before a crashed
-	// member returns (0 = crash-stop, the default threat model).
-	CrashRecover time.Duration `json:"crash_recover_ns,omitempty"`
-	// Partitions lists partition episode durations (default [0] = none).
-	// A cell with duration d > 0 partitions at PartitionAt and heals d
-	// later.
+	// Partitions lists partition episode durations; 0 means no partition.
+	// A cell with duration d > 0 partitions at Base.PartitionAt and heals
+	// d later.
 	Partitions []time.Duration `json:"partitions_ns,omitempty"`
-	// PartitionAt is when partition episodes begin (default Horizon/4).
-	PartitionAt time.Duration `json:"partition_at_ns,omitempty"`
-	// Policies lists buffering policies (default ["two-phase"]).
+	// Policies lists buffering policies.
 	Policies []string `json:"policies,omitempty"`
-	// FixedHold is the retention used by "fixed" cells (default 500 ms).
-	FixedHold time.Duration `json:"fixed_hold_ns,omitempty"`
-	// C, Lambda and RepairBackoff apply to every cell when positive (zero
-	// keeps the paper's §4 defaults).
-	C             float64       `json:"c,omitempty"`
-	Lambda        float64       `json:"lambda,omitempty"`
-	RepairBackoff time.Duration `json:"repair_backoff_ns,omitempty"`
-	// Msgs, Gap and Horizon define every cell's workload (defaults: 20
-	// messages, 20 ms apart, 5 s horizon).
-	Msgs    int           `json:"msgs,omitempty"`
-	Gap     time.Duration `json:"gap_ns,omitempty"`
-	Horizon time.Duration `json:"horizon_ns,omitempty"`
 	// PayloadSizes lists payload sizes in bytes to sweep; 0 means the
-	// historic fixed 256 (default [0]). Together with Budgets this is the
-	// outermost expansion axis, defaults first, so appending non-default
-	// sizes to a matrix never moves its legacy cells.
+	// historic fixed 256. Together with Budgets this is the outermost
+	// expansion axis, defaults first, so appending non-default sizes to a
+	// matrix never moves its legacy cells.
 	PayloadSizes []int `json:"payload_sizes,omitempty"`
-	// PayloadModel applies to every cell ("fixed" when empty; "uniform"
-	// or "lognormal" draw per-message sizes around the cell's payload
-	// size).
-	PayloadModel string `json:"payload_model,omitempty"`
 	// Budgets lists per-member buffer byte budgets to sweep; 0 means
-	// unlimited (default [0]).
+	// unlimited.
 	Budgets []int `json:"budgets,omitempty"`
-	// Protocols lists recovery protocols to sweep ("rrmp"/"" and "rmtp";
-	// default [""] = RRMP only). The protocol axis is the outermost
-	// expansion dimension with RRMP first, so adding "rmtp" to a matrix
-	// appends a whole baseline family after every existing cell without
-	// moving any of them. RMTP cells collapse the Policies axis to the
-	// single value "server": the baseline's buffering discipline is the
-	// repair server itself (buffer-all under ACK trimming), so RRMP
-	// policy names do not apply.
+	// Protocols lists recovery protocols to sweep ("rrmp"/"" and "rmtp").
+	// The protocol axis is the outermost expansion dimension with RRMP
+	// first, so adding "rmtp" to a matrix appends a whole baseline family
+	// after every existing cell without moving any of them. RMTP cells
+	// collapse the Policies axis to the single value "server": the
+	// baseline's buffering discipline is the repair server itself
+	// (buffer-all under ACK trimming), so RRMP policy names do not apply.
 	Protocols []string `json:"protocols,omitempty"`
-	// LossMode applies to every lossy cell; see Scenario.LossMode.
-	LossMode string `json:"loss_mode,omitempty"`
 	// Workloads lists multi-client workload specs to sweep; nil entries
-	// mean the legacy single-sender stream (default [nil]). The workload
-	// axis is the OUTERMOST expansion dimension with the legacy shape
-	// first, so adding workloads to a matrix appends whole families after
-	// every existing cell without moving (or re-byting) any of them.
+	// mean the legacy single-sender stream. The workload axis is the
+	// OUTERMOST expansion dimension, so adding workloads to a matrix
+	// appends whole families after every existing cell without moving (or
+	// re-byting) any of them.
 	Workloads []*workload.Spec `json:"workloads,omitempty"`
-	// Shards applies to every cell; an execution knob excluded from JSON
-	// and cell identity (see Scenario.Shards).
-	Shards int `json:"-"`
+	// Msgs and Horizon, when positive, override Base.Msgs and
+	// Base.Horizon. They predate Base and stay only because the benchmark
+	// harness's tests still construct sweeps with them; new code sets
+	// Base.
+	Msgs    int           `json:"msgs,omitempty"`
+	Horizon time.Duration `json:"horizon_ns,omitempty"`
 }
 
 // DefaultSweep returns the standing benchmark matrix rrmp-sim runs when no
@@ -336,12 +375,10 @@ func ScaleSweepXL() Sweep {
 			{Branch: 4, Levels: 4, Members: 10000},
 			{Branch: 8, Levels: 4, Members: 100000},
 		},
+		Base:     Scenario{LossMode: "hash", Msgs: 10, Horizon: 2 * time.Second},
 		Losses:   []float64{0.05},
-		LossMode: "hash",
 		Churns:   []float64{0, 1},
 		Policies: []string{"two-phase"},
-		Msgs:     10,
-		Horizon:  2 * time.Second,
 	}
 }
 
@@ -360,13 +397,10 @@ func ScaleSweep1M() Sweep {
 		Trees: []TreeShape{
 			{Branch: 16, Levels: 4, Members: 1000000},
 		},
+		Base:     Scenario{LossMode: "hash", Burst: true, Msgs: 10, Horizon: 2 * time.Second},
 		Losses:   []float64{0.05},
-		LossMode: "hash",
-		Burst:    true,
 		Churns:   []float64{0},
 		Policies: []string{"two-phase"},
-		Msgs:     10,
-		Horizon:  2 * time.Second,
 	}
 }
 
@@ -427,10 +461,10 @@ func VoDPrefixPush() *workload.Spec {
 // committed 576-cell matrix keeps its bytes.
 func WorkloadSweep() Sweep {
 	return Sweep{
+		Base:      Scenario{LossMode: "hash"},
 		Workloads: []*workload.Spec{MultiClientWorkload(), BurstyWorkload(), VoDPrefixPush()},
 		Regions:   [][]int{{30, 30}},
 		Losses:    []float64{0.05, 0.20},
-		LossMode:  "hash",
 		Policies:  []string{"two-phase", "fixed"},
 		Protocols: []string{"rrmp", "rmtp"},
 	}
@@ -446,108 +480,102 @@ func WorkloadSweep() Sweep {
 // A separate sweep so the committed 594-cell matrix keeps its bytes.
 func AdaptiveSweep() Sweep {
 	return Sweep{
+		Base:      Scenario{LossMode: "hash"},
 		Workloads: []*workload.Spec{BurstyWorkload()},
 		Regions:   [][]int{{30, 30}},
 		Losses:    []float64{0.05, 0.20},
-		LossMode:  "hash",
 		Policies:  []string{"two-phase", "fixed", "adaptive"},
 	}
 }
 
 // Expand returns the cartesian product in a fixed order: the workload
 // axis outermost (the legacy single-sender shape — nil — before any
-// multi-client family), then the protocol
-// axis (RRMP families before any "rmtp" baseline family), then
-// payload sizes and byte budgets (so the default (0, 0) block — when
-// present — reproduces the pre-axis matrix cell for cell before any
-// byte-axis family follows), then the topology axis (all Regions vectors,
-// then all Trees), then losses, churns, and policies innermost. "rrmp" is
-// normalized to the canonical empty Protocol, and RMTP cells replace the
-// policy dimension with the single value "server" (see Sweep.Protocols).
-// The order is part of the report schema — cells keep their position
-// across runs.
+// multi-client family), then the protocol axis (RRMP families before any
+// "rmtp" baseline family), then payload sizes and byte budgets (so the
+// default (0, 0) block — when present — reproduces the pre-axis matrix
+// cell for cell before any byte-axis family follows), then the topology
+// axis (all Regions vectors, then all Trees), then losses, churns,
+// crashes, partitions, and policies innermost. The order is part of the
+// report schema — cells keep their position across runs.
+//
+// Every cell starts from Base with these defaults applied: zero Msgs,
+// Gap, Horizon and FixedHold become 20, 20 ms, 5 s and 500 ms; an empty
+// Policy becomes two-phase and policy aliases canonicalize through the
+// registry; "rrmp" normalizes to the canonical empty Protocol; a lossless
+// cell drops LossMode, a crash-free cell CrashRecover, a partition-free
+// cell PartitionDur; and RMTP cells
+// replace the policy dimension with the single value "server" (see
+// Sweep.Protocols).
 func (sw Sweep) Expand() []Scenario {
-	regions := sw.Regions
-	if len(regions) == 0 && len(sw.Trees) == 0 {
-		regions = [][]int{{100}}
+	base := sw.Base
+	if sw.Msgs > 0 {
+		base.Msgs = sw.Msgs
 	}
-	losses := sw.Losses
-	if len(losses) == 0 {
-		losses = []float64{0}
+	if sw.Horizon > 0 {
+		base.Horizon = sw.Horizon
 	}
-	churns := sw.Churns
-	if len(churns) == 0 {
-		churns = []float64{0}
+	if base.Msgs == 0 {
+		base.Msgs = 20
 	}
-	crashes := sw.Crashes
-	if len(crashes) == 0 {
-		crashes = []float64{0}
+	if base.Gap == 0 {
+		base.Gap = 20 * time.Millisecond
 	}
-	partitions := sw.Partitions
-	if len(partitions) == 0 {
-		partitions = []time.Duration{0}
+	if base.Horizon == 0 {
+		base.Horizon = 5 * time.Second
 	}
-	// Policy tokens canonicalize through the registry, so a historic alias
-	// ("fixed-hold") and its canonical kind ("fixed") name the same cell.
-	// Committed matrices already use canonical tokens; their bytes do not
-	// change.
-	policies := make([]string, len(sw.Policies))
-	for i, p := range sw.Policies {
-		policies[i] = policyspec.Canonical(p)
+	if base.FixedHold == 0 {
+		base.FixedHold = 500 * time.Millisecond
 	}
-	if len(policies) == 0 {
-		policies = []string{policyspec.KindTwoPhase}
+	if base.Policy == "" {
+		base.Policy = policyspec.KindTwoPhase
 	}
-	msgs := sw.Msgs
-	if msgs <= 0 {
-		msgs = 20
-	}
-	gap := sw.Gap
-	if gap <= 0 {
-		gap = 20 * time.Millisecond
-	}
-	horizon := sw.Horizon
-	if horizon <= 0 {
-		horizon = 5 * time.Second
-	}
-	hold := sw.FixedHold
-	if hold <= 0 {
-		hold = 500 * time.Millisecond
-	}
-
-	partAt := sw.PartitionAt
+	partAt := base.PartitionAt
 	if partAt <= 0 {
-		partAt = horizon / 4
-	}
-	payloads := sw.PayloadSizes
-	if len(payloads) == 0 {
-		payloads = []int{0}
-	}
-	budgets := sw.Budgets
-	if len(budgets) == 0 {
-		budgets = []int{0}
-	}
-	protocols := sw.Protocols
-	if len(protocols) == 0 {
-		protocols = []string{""}
-	}
-	workloads := sw.Workloads
-	if len(workloads) == 0 {
-		workloads = []*workload.Spec{nil}
+		partAt = base.Horizon / 4
 	}
 
+	regions, trees := sw.Regions, sw.Trees
+	if len(regions) == 0 && len(trees) == 0 {
+		switch {
+		case base.Tree != nil:
+			trees = []TreeShape{*base.Tree}
+		case len(base.Regions) > 0:
+			regions = [][]int{base.Regions}
+		default:
+			regions = [][]int{{100}}
+		}
+	}
 	type topoCell struct {
 		regions []int
 		tree    *TreeShape
 	}
-	topos := make([]topoCell, 0, len(regions)+len(sw.Trees))
+	// Each topology is copied once and shared by its cells, like a tree
+	// cell's TreeShape: cells are read-only, and never alias the sweep's
+	// own slices.
+	topos := make([]topoCell, 0, len(regions)+len(trees))
 	for _, r := range regions {
-		topos = append(topos, topoCell{regions: r})
+		topos = append(topos, topoCell{regions: append([]int(nil), r...)})
 	}
-	for i := range sw.Trees {
-		t := sw.Trees[i]
+	for i := range trees {
+		t := trees[i]
 		topos = append(topos, topoCell{tree: &t})
 	}
+	losses := axis(sw.Losses, base.Loss)
+	churns := axis(sw.Churns, base.Churn)
+	crashes := axis(sw.Crashes, base.Crash)
+	partitions := axis(sw.Partitions, base.PartitionDur)
+	// Policy tokens canonicalize through the registry, so a historic alias
+	// ("fixed-hold") and its canonical kind ("fixed") name the same cell.
+	// Committed matrices already use canonical tokens; their bytes do not
+	// change.
+	policies := append([]string(nil), axis(sw.Policies, base.Policy)...)
+	for i, p := range policies {
+		policies[i] = policyspec.Canonical(p)
+	}
+	payloads := axis(sw.PayloadSizes, base.PayloadBytes)
+	budgets := axis(sw.Budgets, base.ByteBudget)
+	protocols := axis(sw.Protocols, base.Protocol)
+	workloads := axis(sw.Workloads, base.Workload)
 
 	out := make([]Scenario, 0, len(workloads)*len(protocols)*len(payloads)*len(budgets)*
 		len(topos)*len(losses)*len(churns)*len(crashes)*len(partitions)*len(policies))
@@ -571,40 +599,33 @@ func (sw Sweep) Expand() []Scenario {
 								for _, cr := range crashes {
 									for _, pd := range partitions {
 										for _, p := range pols {
-											sc := Scenario{
-												Protocol:      proto,
-												Regions:       append([]int(nil), tc.regions...),
-												Star:          sw.Star && tc.tree == nil,
-												Tree:          tc.tree,
-												Loss:          l,
-												Burst:         sw.Burst,
-												Shards:        sw.Shards,
-												Churn:         ch,
-												Crash:         cr,
-												Policy:        p,
-												FixedHold:     hold,
-												C:             sw.C,
-												Lambda:        sw.Lambda,
-												RepairBackoff: sw.RepairBackoff,
-												Msgs:          msgs,
-												Gap:           gap,
-												Horizon:       horizon,
-												PayloadBytes:  pb,
-												PayloadModel:  sw.PayloadModel,
-												ByteBudget:    bud,
-												Workload:      wl,
+											out = append(out, base)
+											sc := &out[len(out)-1]
+											sc.Protocol = proto
+											sc.Regions = tc.regions
+											sc.Star = base.Star && tc.tree == nil
+											sc.Tree = tc.tree
+											sc.Loss, sc.Churn, sc.Crash, sc.Policy = l, ch, cr, p
+											sc.PayloadBytes, sc.ByteBudget, sc.Workload = pb, bud, wl
+											if l <= 0 {
+												sc.LossMode = ""
 											}
-											if l > 0 {
-												sc.LossMode = sw.LossMode
+											if cr <= 0 {
+												sc.CrashRecover = 0
 											}
-											if cr > 0 {
-												sc.CrashRecover = sw.CrashRecover
+											// A partition axis replaces Base's
+											// episode; without one, Base's
+											// (possibly open-ended) episode
+											// stands.
+											if len(sw.Partitions) > 0 {
+												sc.PartitionAt, sc.PartitionDur = 0, 0
+												if pd > 0 {
+													sc.PartitionAt, sc.PartitionDur = partAt, pd
+												}
 											}
-											if pd > 0 {
-												sc.PartitionAt = partAt
-												sc.PartitionDur = pd
+											if sc.PartitionAt <= 0 {
+												sc.PartitionDur = 0
 											}
-											out = append(out, sc)
 										}
 									}
 								}
@@ -618,18 +639,46 @@ func (sw Sweep) Expand() []Scenario {
 	return out
 }
 
-// Validate checks the sweep's policy axis against the registry before any
-// cell runs, so a typo fails at expansion time with the known-policy menu
+// axis returns the swept values, or Base's single value when the axis is
+// empty.
+func axis[T any](vals []T, base T) []T {
+	if len(vals) == 0 {
+		return []T{base}
+	}
+	return vals
+}
+
+// Validate checks the sweep once before any cell runs: Base and every axis
+// value against Scenario.Validate's rules, and the policy axis against the
+// registry, so a typo fails at expansion time with the known-policy menu
 // (policy.UnknownKindError via errors.As) instead of deep inside the
 // runner on some mid-sweep trial. Sweeps whose protocols are all "rmtp"
-// skip the check: their policy axis collapses to the "server" placeholder.
+// skip the policy check: their policy axis collapses to the "server"
+// placeholder.
 func (sw Sweep) Validate() error {
-	protocols := sw.Protocols
-	if len(protocols) == 0 {
-		protocols = []string{""}
+	if err := sw.Base.Validate(); err != nil {
+		return err
 	}
+	// Each axis value is checked as a one-field scenario, so the sweep and
+	// the kernel share one rule set.
+	for _, err := range []error{
+		Scenario{Msgs: sw.Msgs, Horizon: sw.Horizon}.Validate(),
+		validateAxis(sw.Losses, func(v float64) Scenario { return Scenario{Loss: v} }),
+		validateAxis(sw.Churns, func(v float64) Scenario { return Scenario{Churn: v} }),
+		validateAxis(sw.Crashes, func(v float64) Scenario { return Scenario{Crash: v} }),
+		validateAxis(sw.Partitions, func(v time.Duration) Scenario { return Scenario{PartitionDur: v} }),
+		validateAxis(sw.PayloadSizes, func(v int) Scenario { return Scenario{PayloadBytes: v} }),
+		validateAxis(sw.Budgets, func(v int) Scenario { return Scenario{ByteBudget: v} }),
+		validateAxis(sw.Protocols, func(v string) Scenario { return Scenario{Protocol: v} }),
+		validateAxis(sw.Workloads, func(v *workload.Spec) Scenario { return Scenario{Workload: v} }),
+	} {
+		if err != nil {
+			return err
+		}
+	}
+
 	rrmpFamily := false
-	for _, p := range protocols {
+	for _, p := range axis(sw.Protocols, sw.Base.Protocol) {
 		if p == "" || p == "rrmp" {
 			rrmpFamily = true
 		}
@@ -637,13 +686,23 @@ func (sw Sweep) Validate() error {
 	if !rrmpFamily {
 		return nil
 	}
-	policies := sw.Policies
-	if len(policies) == 0 {
-		policies = []string{policyspec.KindTwoPhase}
-	}
-	for _, p := range policies {
+	for _, p := range axis(sw.Policies, sw.Base.Policy) {
+		if p == "" {
+			continue // the two-phase default
+		}
 		if _, err := policyspec.Parse(p); err != nil {
-			return fmt.Errorf("exp: sweep policy %q: %w", p, err)
+			return fmt.Errorf("exp: policy %q: %w", p, err)
+		}
+	}
+	return nil
+}
+
+// validateAxis checks each axis value as the one set field of an
+// otherwise zero scenario.
+func validateAxis[T any](vals []T, probe func(T) Scenario) error {
+	for _, v := range vals {
+		if err := probe(v).Validate(); err != nil {
+			return err
 		}
 	}
 	return nil

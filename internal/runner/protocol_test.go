@@ -49,13 +49,12 @@ func TestProtocolDifferentialNoFaultCell(t *testing.T) {
 // faults must aggregate byte-identically at parallel 1 and 8.
 func TestProtocolSweepDeterministicAcrossParallelism(t *testing.T) {
 	sw := exp.Sweep{
+		Base:       exp.Scenario{Msgs: 10, Horizon: 3 * time.Second},
 		Regions:    [][]int{{6, 6}},
 		Losses:     []float64{0.2},
 		Crashes:    []float64{0, 2},
 		Partitions: []time.Duration{0, 500 * time.Millisecond},
 		Protocols:  []string{"rrmp", "rmtp"},
-		Msgs:       10,
-		Horizon:    3 * time.Second,
 	}
 	serial, err := RunSweep(exp.Options{Trials: 3, Parallel: 1, BaseSeed: 5}, sw)
 	if err != nil {

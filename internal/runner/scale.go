@@ -79,7 +79,7 @@ func RunScale(o exp.Options, sweeps ...exp.Sweep) (ScaleReport, error) {
 		wall := time.Since(start)
 
 		cell := ScaleCell{Name: sc.Name(), Scenario: sc, Aggregate: agg}
-		topo, err := scenarioTopology(sc)
+		topo, err := ScenarioTopology(sc)
 		if err != nil {
 			return ScaleReport{}, fmt.Errorf("runner: scale cell %q: %w", sc.Name(), err)
 		}
@@ -98,8 +98,9 @@ func RunScale(o exp.Options, sweeps ...exp.Sweep) (ScaleReport, error) {
 	return rep, nil
 }
 
-// scenarioTopology rebuilds a scenario's topology for annotation purposes.
-func scenarioTopology(sc exp.Scenario) (*topology.Topology, error) {
+// ScenarioTopology builds a scenario's topology: its balanced Tree when
+// set, otherwise the Regions vector as a star or chain hierarchy.
+func ScenarioTopology(sc exp.Scenario) (*topology.Topology, error) {
 	switch {
 	case sc.Tree != nil:
 		return topology.BalancedTree(sc.Tree.Branch, sc.Tree.Levels, sc.Tree.Members)

@@ -36,7 +36,7 @@ func shardWidths() []int {
 // canonical JSON — the exact bytes the determinism contract covers.
 func sweepAtShards(t *testing.T, sw exp.Sweep, o exp.Options, n int) string {
 	t.Helper()
-	sw.Shards = n
+	sw.Base.Shards = n
 	rep, err := RunSweep(o, sw)
 	if err != nil {
 		t.Fatalf("shards=%d: %v", n, err)
@@ -83,14 +83,12 @@ func TestShardedSweepByteIdentical(t *testing.T) {
 			// per-sender counter hash makes drop decisions shard-local.
 			name: "hash-loss",
 			sw: exp.Sweep{
+				Base:     exp.Scenario{LossMode: "hash", Msgs: 12, Horizon: 3 * time.Second},
 				Regions:  [][]int{{8}, {6, 6}},
 				Losses:   []float64{0.05, 0.2},
-				LossMode: "hash",
 				Churns:   []float64{0, 1},
 				Crashes:  []float64{0, 1},
 				Policies: []string{"two-phase"},
-				Msgs:     12,
-				Horizon:  3 * time.Second,
 			},
 		},
 		{
@@ -100,14 +98,11 @@ func TestShardedSweepByteIdentical(t *testing.T) {
 			// hold byte-identity through real parallel windows too.
 			name: "burst-hash",
 			sw: exp.Sweep{
+				Base:     exp.Scenario{LossMode: "hash", Burst: true, Msgs: 12, Horizon: 3 * time.Second},
 				Regions:  [][]int{{8}, {6, 6}},
 				Losses:   []float64{0.05, 0.2},
-				LossMode: "hash",
-				Burst:    true,
 				Churns:   []float64{0, 1},
 				Policies: []string{"two-phase"},
-				Msgs:     12,
-				Horizon:  3 * time.Second,
 			},
 		},
 		{
@@ -116,6 +111,7 @@ func TestShardedSweepByteIdentical(t *testing.T) {
 			// eviction all run through real parallel windows.
 			name: "faults-budget",
 			sw: exp.Sweep{
+				Base:         exp.Scenario{Msgs: 12, Horizon: 3 * time.Second},
 				Regions:      [][]int{{6, 6}},
 				Losses:       []float64{0},
 				Churns:       []float64{0, 1},
@@ -124,8 +120,6 @@ func TestShardedSweepByteIdentical(t *testing.T) {
 				Policies:     []string{"two-phase", "fixed"},
 				PayloadSizes: []int{1024},
 				Budgets:      []int{8192},
-				Msgs:         12,
-				Horizon:      3 * time.Second,
 			},
 		},
 		{

@@ -16,6 +16,7 @@ import (
 	"repro/internal/rrmp"
 	"repro/internal/sim"
 	"repro/internal/topology"
+	"repro/internal/trace"
 	"repro/internal/wire"
 	"repro/internal/workload"
 )
@@ -24,12 +25,11 @@ import (
 // labels far above any node id (member streams use labels 1..NumNodes).
 const (
 	lossStreamLabel = 0xfeed1055
-	// ChurnStreamLabel derives the churn stream; exported so rrmp-sim's
-	// single-run mode schedules the identical leave sequence for a seed.
-	ChurnStreamLabel = 0xfeedc4a2
-	// CrashStreamLabel derives the crash-fault stream, independent of the
+	// churnStreamLabel derives the churn stream.
+	churnStreamLabel = 0xfeedc4a2
+	// crashStreamLabel derives the crash-fault stream, independent of the
 	// churn stream so adding crashes never perturbs the leave sequence.
-	CrashStreamLabel = 0xfeedc4a5
+	crashStreamLabel = 0xfeedc4a5
 	// PayloadStreamLabel derives the payload-size stream for randomized
 	// payload models. Fixed-size scenarios (including the historic
 	// 256-byte default) never touch it, so pre-axis runs replay
@@ -69,13 +69,13 @@ func PayloadSizesFor(model string, mean, n int, seed uint64) ([]int, int, error)
 	return sizes, max, nil
 }
 
-// ScheduleChurn draws Poisson-timed events on distinct random candidates
+// scheduleChurn draws Poisson-timed events on distinct random candidates
 // at the given rate (events/second) until the horizon, invoking schedule
 // for each (time, victim) pair, and returns how many it scheduled. It
 // consumes candidates without replacement, so no member is picked twice.
-// rrmp-sim's single-run mode and RunScenario share this construction for
-// graceful leaves (ChurnStreamLabel) and crash faults (CrashStreamLabel).
-func ScheduleChurn(r *rng.Source, rate float64, horizon time.Duration,
+// Both protocol kernels use it for graceful leaves (churnStreamLabel) and
+// crash faults (crashStreamLabel).
+func scheduleChurn(r *rng.Source, rate float64, horizon time.Duration,
 	candidates []topology.NodeID, schedule func(at time.Duration, victim topology.NodeID)) int {
 	if rate <= 0 {
 		return 0
@@ -125,12 +125,13 @@ func PartitionClasses(topo *topology.Topology) map[topology.NodeID]int {
 	return classes
 }
 
-// scenarioLoss builds a scenario's DATA loss model from its dedicated rng
-// stream (nil when lossless). Both protocol kernels share it, so a seeded
-// cell drops the identical DATA packets under RRMP and RMTP — the common-
-// random-numbers design extended to the protocol axis. nNodes sizes the
-// hash-mode model's per-sender state.
-func scenarioLoss(sc exp.Scenario, seed uint64, nNodes int) (netsim.LossModel, error) {
+// ScenarioLoss builds a scenario's DATA loss model from its dedicated rng
+// stream (nil when lossless). Both protocol kernels and the repro.Group
+// facade share it, so a seeded cell drops the identical DATA packets under
+// RRMP, RMTP and a hand-driven Group — the common-random-numbers design
+// extended to the protocol axis. nNodes sizes the hash-mode model's
+// per-sender state.
+func ScenarioLoss(sc exp.Scenario, seed uint64, nNodes int) (netsim.LossModel, error) {
 	if sc.Loss <= 0 {
 		return nil, nil
 	}
@@ -139,7 +140,7 @@ func scenarioLoss(sc exp.Scenario, seed uint64, nNodes int) (netsim.LossModel, e
 	case "":
 		// Legacy shared-stream models: draws consume one global rng in send
 		// order, entangling every sender. Deterministic, but only on a
-		// single loop (see effectiveShards).
+		// single loop (see EffectiveShards).
 	case "hash":
 		// Per-pair counter-hash streams: shard-safe, so lossy cells can
 		// run parallel. Seeded from the trial seed like the legacy stream.
@@ -166,13 +167,13 @@ func scenarioLoss(sc exp.Scenario, seed uint64, nNodes int) (netsim.LossModel, e
 	return &netsim.BernoulliLoss{P: sc.Loss, Only: only, Rng: lossRng}, nil
 }
 
-// effectiveShards gates a scenario's Shards knob on shard safety: the
+// EffectiveShards gates a scenario's Shards knob on shard safety: the
 // legacy loss models draw from one rng stream in global send order, which
 // only a single loop reproduces, so scenarios using them run at width 1
 // (where byte-identity is trivial). Lossless and hash-mode scenarios —
 // Bernoulli (HashLoss) and burst (HashBurstLoss) alike — run genuinely
 // parallel. The rmtp kernel always runs at width 1.
-func effectiveShards(sc exp.Scenario) int {
+func EffectiveShards(sc exp.Scenario) int {
 	if sc.Shards <= 1 {
 		return 1
 	}
@@ -198,7 +199,7 @@ type faultInjector struct {
 
 // scheduleScenarioFaults schedules the scenario's churn, crash/recover and
 // partition timelines on the simulator from the shared dedicated streams
-// (ChurnStreamLabel, CrashStreamLabel), exactly as both protocol kernels
+// (churnStreamLabel, crashStreamLabel), exactly as both protocol kernels
 // require: churn events first, then crash events (each with its optional
 // recovery), then the partition cut/heal pair. protected lists the nodes
 // faults must never hit — the publisher set (the sender alone in legacy
@@ -224,7 +225,7 @@ func scheduleScenarioFaults(c *sim.Sim, net *netsim.Network, topo *topology.Topo
 		}
 	}
 	if sc.Churn > 0 {
-		ScheduleChurn(rng.New(seed).Split(ChurnStreamLabel), sc.Churn, sc.Horizon,
+		scheduleChurn(rng.New(seed).Split(churnStreamLabel), sc.Churn, sc.Horizon,
 			candidates, func(at time.Duration, victim topology.NodeID) {
 				c.At(at, func() {
 					if inj.excused(victim) {
@@ -236,7 +237,7 @@ func scheduleScenarioFaults(c *sim.Sim, net *netsim.Network, topo *topology.Topo
 			})
 	}
 	if sc.Crash > 0 {
-		ScheduleChurn(rng.New(seed).Split(CrashStreamLabel), sc.Crash, sc.Horizon,
+		scheduleChurn(rng.New(seed).Split(crashStreamLabel), sc.Crash, sc.Horizon,
 			candidates, func(at time.Duration, victim topology.NodeID) {
 				c.At(at, func() {
 					if inj.excused(victim) {
@@ -311,27 +312,30 @@ func reachMetrics(out map[string]float64, msgs, nNodes, survivors int,
 // at any parallelism. Scenario.Protocol picks the kernel: the RRMP engine
 // (default) or the RMTP repair-server baseline (runTreeScenario).
 func RunScenario(sc exp.Scenario, seed uint64) (map[string]float64, error) {
-	return runScenario(sc, seed, nil)
+	return runScenario(sc, seed, nil, nil)
 }
 
-// runScenario is the shared kernel dispatcher. timeline, when non-nil,
-// overrides the scenario's generated publish timeline (the trace-replay
-// path); nil means "materialize from the scenario" (TimelineFor).
-func runScenario(sc exp.Scenario, seed uint64, timeline workload.Timeline) (map[string]float64, error) {
-	switch sc.Protocol {
-	case "", "rrmp":
-		// The paper's protocol, below.
-	case "rmtp":
-		return runTreeScenario(sc, seed, timeline)
-	default:
-		return nil, fmt.Errorf("runner: unknown scenario protocol %q", sc.Protocol)
+// runScenario is the shared kernel dispatcher. It validates the scenario
+// first, so every trial of every mode rejects invalid input the same way.
+// timeline, when non-nil, overrides the scenario's generated publish
+// timeline (the trace-replay path); nil means "materialize from the
+// scenario" (TimelineFor). tr, when non-nil, observes every RRMP member.
+func runScenario(sc exp.Scenario, seed uint64, timeline workload.Timeline, tr trace.Tracer) (map[string]float64, error) {
+	if err := sc.Validate(); err != nil {
+		return nil, fmt.Errorf("runner: scenario: %w", err)
 	}
-	topo, err := scenarioTopology(sc)
+	if sc.Protocol == "rmtp" {
+		if tr != nil {
+			return nil, fmt.Errorf("runner: tracing observes the rrmp engine; the rmtp baseline has no tracer hook")
+		}
+		return runTreeScenario(sc, seed, timeline)
+	}
+	topo, err := ScenarioTopology(sc)
 	if err != nil {
 		return nil, fmt.Errorf("runner: scenario topology: %w", err)
 	}
 
-	loss, err := scenarioLoss(sc, seed, topo.NumNodes())
+	loss, err := ScenarioLoss(sc, seed, topo.NumNodes())
 	if err != nil {
 		return nil, err
 	}
@@ -369,7 +373,8 @@ func runScenario(sc exp.Scenario, seed uint64, timeline workload.Timeline) (map[
 		Seed:   seed,
 		Loss:   loss,
 		Policy: policyFn,
-		Shards: effectiveShards(sc),
+		Tracer: tr,
+		Shards: EffectiveShards(sc),
 	})
 	if err != nil {
 		return nil, fmt.Errorf("runner: scenario cluster: %w", err)
@@ -547,27 +552,28 @@ func RunSweep(o exp.Options, sw exp.Sweep) (exp.Report, error) {
 	return RunSweeps(o, sw)
 }
 
-// execNotes summarizes the cells that cannot honor a requested -shards
-// width (see effectiveShards): instead of failing or silently lying about
-// the execution, the report carries a top-level note. The note is
-// execution metadata — it never appears at the default width, so the
-// committed default-shards reports keep their bytes.
-func execNotes(sweeps []exp.Sweep) string {
+// ExecNote summarizes the cells that cannot honor a requested -shards
+// width (see EffectiveShards): instead of failing or silently lying about
+// the execution, sweep reports carry it as a top-level note and rrmp-sim
+// prints it for a single trial. The note is execution metadata — it is
+// empty at the default width, so the committed default-shards reports
+// keep their bytes.
+func ExecNote(sweeps ...exp.Sweep) string {
 	shards, legacy, rmtp, total := 0, 0, 0, 0
 	for _, sw := range sweeps {
-		if sw.Shards > shards {
-			shards = sw.Shards
+		if sw.Base.Shards > shards {
+			shards = sw.Base.Shards
 		}
 		cells := sw.Expand()
 		total += len(cells)
-		if sw.Shards <= 1 {
+		if sw.Base.Shards <= 1 {
 			continue
 		}
 		for _, sc := range cells {
 			switch {
 			case sc.Protocol == "rmtp":
 				rmtp++
-			case effectiveShards(sc) == 1:
+			case EffectiveShards(sc) == 1:
 				legacy++
 			}
 		}

@@ -13,13 +13,11 @@ import (
 // dimension over a 12-member region.
 func smallSweep() exp.Sweep {
 	return exp.Sweep{
+		Base:     exp.Scenario{Msgs: 5, Gap: 20 * time.Millisecond, Horizon: 2 * time.Second},
 		Regions:  [][]int{{12}},
 		Losses:   []float64{0.2},
 		Churns:   []float64{0, 2},
 		Policies: []string{"two-phase", "fixed"},
-		Msgs:     5,
-		Gap:      20 * time.Millisecond,
-		Horizon:  2 * time.Second,
 	}
 }
 
@@ -234,14 +232,12 @@ func TestRunScenarioCrashRecoverReturnsMembers(t *testing.T) {
 // rest of the matrix: byte-identical reports at any parallelism.
 func TestRunSweepFaultCellsDeterministicAcrossParallelism(t *testing.T) {
 	sw := exp.Sweep{
+		Base:       exp.Scenario{Msgs: 4, Gap: 20 * time.Millisecond, Horizon: 2 * time.Second},
 		Regions:    [][]int{{8}, {6, 6}},
 		Losses:     []float64{0.2},
 		Crashes:    []float64{2},
 		Partitions: []time.Duration{500 * time.Millisecond},
 		Policies:   []string{"two-phase"},
-		Msgs:       4,
-		Gap:        20 * time.Millisecond,
-		Horizon:    2 * time.Second,
 	}
 	blob := func(parallel int) string {
 		rep, err := RunSweep(exp.Options{Trials: 3, Parallel: parallel, BaseSeed: 42}, sw)

@@ -40,7 +40,7 @@ func runTreeScenario(sc exp.Scenario, seed uint64, timeline workload.Timeline) (
 	default:
 		return nil, fmt.Errorf("runner: rmtp scenario policy %q (the repair-server baseline has no policy axis; use %q)", sc.Policy, "server")
 	}
-	topo, err := scenarioTopology(sc)
+	topo, err := ScenarioTopology(sc)
 	if err != nil {
 		return nil, fmt.Errorf("runner: scenario topology: %w", err)
 	}
@@ -50,7 +50,7 @@ func runTreeScenario(sc exp.Scenario, seed uint64, timeline workload.Timeline) (
 	// The rmtp baseline always runs at width 1 (Scenario.Shards is
 	// ignored here): it exists as a reference kernel, not a scale target,
 	// and its shared-stream loss draws are not shard-safe anyway.
-	loss, err := scenarioLoss(sc, seed, topo.NumNodes())
+	loss, err := ScenarioLoss(sc, seed, topo.NumNodes())
 	if err != nil {
 		return nil, err
 	}

@@ -66,7 +66,7 @@ func runTwoPhaseInvariantTrial(t *testing.T, topo *topology.Topology, seed uint6
 				candidates = append(candidates, n)
 			}
 		}
-		ScheduleChurn(rng.New(seed).Split(ChurnStreamLabel), churn, 1200*time.Millisecond,
+		scheduleChurn(rng.New(seed).Split(churnStreamLabel), churn, 1200*time.Millisecond,
 			candidates, func(at time.Duration, victim topology.NodeID) {
 				c.Engine.At(at, func() { c.Members[victim].Leave() })
 			})

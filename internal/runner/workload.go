@@ -7,6 +7,7 @@ import (
 	"repro/internal/exp"
 	"repro/internal/rng"
 	"repro/internal/topology"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -148,17 +149,19 @@ func workloadMetrics(out map[string]float64, sc exp.Scenario, published int, joi
 	}
 }
 
-// RunScenarioTimeline is RunScenario with an externally supplied publish
+// RunScenarioTimeline is RunScenario with two optional single-trial
+// inputs. tl, when non-nil, replaces the scenario's generated publish
 // timeline — the replay path: a recorded rrmp-trace/v1 stream drives the
-// run instead of the scenario's generated workload, and an identical
-// timeline yields a byte-identical report. Invalid timelines (out of
-// order, non-positive sizes) are rejected up front rather than silently
-// scheduled out of order.
-func RunScenarioTimeline(sc exp.Scenario, seed uint64, tl workload.Timeline) (map[string]float64, error) {
-	if !tl.Valid() {
+// run, and an identical timeline yields a byte-identical report. Invalid
+// timelines (out of order, non-positive sizes) are rejected up front
+// rather than silently scheduled out of order. tr, when non-nil, receives
+// every RRMP member's protocol events; the rmtp baseline has no tracer
+// hook and rejects one.
+func RunScenarioTimeline(sc exp.Scenario, seed uint64, tl workload.Timeline, tr trace.Tracer) (map[string]float64, error) {
+	if tl != nil && !tl.Valid() {
 		return nil, fmt.Errorf("runner: replay timeline invalid (out-of-order or malformed events)")
 	}
-	return runScenario(sc, seed, tl)
+	return runScenario(sc, seed, tl, tr)
 }
 
 // RunSweeps expands every sweep in order and runs the concatenation
@@ -170,6 +173,6 @@ func RunSweeps(o exp.Options, sweeps ...exp.Sweep) (exp.Report, error) {
 	if err != nil {
 		return rep, err
 	}
-	rep.ExecNote = execNotes(sweeps)
+	rep.ExecNote = ExecNote(sweeps...)
 	return rep, nil
 }

@@ -1,11 +1,13 @@
 package runner
 
 import (
+	"math"
 	"testing"
 	"time"
 
 	"repro/internal/exp"
 	"repro/internal/topology"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -76,7 +78,7 @@ func TestFaultsShieldPublishers(t *testing.T) {
 		Workload: &workload.Spec{Clients: 6, Msgs: 24,
 			Arrival: workload.ArrivalPoisson, Gap: 50 * time.Millisecond},
 	}
-	topo, err := scenarioTopology(sc)
+	topo, err := ScenarioTopology(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +138,7 @@ func TestRecordedTimelineReplaysByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := RunScenarioTimeline(sc, 11, tl)
+		got, err := RunScenarioTimeline(sc, 11, tl, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +160,7 @@ func TestRunScenarioTimelineRejectsInvalid(t *testing.T) {
 		{At: time.Second, Client: 0, Bytes: 8},
 		{At: 0, Client: 0, Bytes: 8},
 	}
-	if _, err := RunScenarioTimeline(sc, 1, bad); err == nil {
+	if _, err := RunScenarioTimeline(sc, 1, bad, nil); err == nil {
 		t.Fatal("out-of-order timeline accepted")
 	}
 }
@@ -248,5 +250,55 @@ func TestWorkloadSweepByteIdenticalAcrossParallelism(t *testing.T) {
 	}
 	if fmtReport(t, serial) != fmtReport(t, wide) {
 		t.Fatal("workload sweep report differs across -parallel widths")
+	}
+}
+
+// TestRunScenarioValidatesEveryTrial pins the per-trial input check: the
+// kernel rejects an invalid scenario before building anything — a
+// negative horizon would otherwise be the engine's run-to-exhaustion
+// sentinel, and a negative message count a makeslice panic.
+func TestRunScenarioValidatesEveryTrial(t *testing.T) {
+	base := exp.Scenario{Regions: []int{6}, Policy: "two-phase",
+		Msgs: 5, Gap: time.Millisecond, Horizon: time.Second}
+	for name, bad := range map[string]func(*exp.Scenario){
+		"horizon": func(sc *exp.Scenario) { sc.Horizon = -time.Second },
+		"msgs":    func(sc *exp.Scenario) { sc.Msgs = -5 },
+		"loss":    func(sc *exp.Scenario) { sc.Loss = math.NaN() },
+		"rmtp":    func(sc *exp.Scenario) { sc.Protocol, sc.Policy, sc.Crash = "rmtp", "server", math.NaN() },
+	} {
+		sc := base
+		bad(&sc)
+		if _, err := RunScenario(sc, 1); err == nil {
+			t.Errorf("%s: invalid scenario ran", name)
+		}
+	}
+}
+
+// TestRunScenarioTimelineTracer pins the tracer argument: tracing an rrmp
+// trial observes its events without changing its metrics, and the rmtp
+// baseline, which has no tracer hook, rejects one.
+func TestRunScenarioTimelineTracer(t *testing.T) {
+	sc := exp.Scenario{Regions: []int{6, 6}, Loss: 0.3, Policy: "two-phase",
+		Msgs: 3, Gap: 10 * time.Millisecond, Horizon: 2 * time.Second}
+	want, err := RunScenario(sc, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mem trace.Memory
+	got, err := RunScenarioTimeline(sc, 4, nil, &mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mem.Count() == 0 {
+		t.Fatal("tracer saw no events")
+	}
+	for k, v := range want {
+		if got[k] != v {
+			t.Errorf("traced %q = %v, untraced %v", k, got[k], v)
+		}
+	}
+	sc.Protocol, sc.Policy = "rmtp", "server"
+	if _, err := RunScenarioTimeline(sc, 4, nil, &mem); err == nil {
+		t.Fatal("rmtp trial accepted a tracer")
 	}
 }

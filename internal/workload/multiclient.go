@@ -92,15 +92,17 @@ func (s *Spec) Validate() error {
 	if s.Gap <= 0 {
 		return fmt.Errorf("workload: non-positive mean gap %v", s.Gap)
 	}
-	if s.ZipfS < 0 {
-		return fmt.Errorf("workload: negative zipf skew %g", s.ZipfS)
+	// Every float guard is written so NaN fails it: a NaN compares false
+	// against everything and would otherwise slip through as "in range".
+	if !(s.ZipfS >= 0) || math.IsInf(s.ZipfS, 1) {
+		return fmt.Errorf("workload: zipf skew %g is not finite and non-negative", s.ZipfS)
 	}
 	for i, w := range s.Windows {
 		if w.To <= w.From || w.From < 0 {
 			return fmt.Errorf("workload: window %d range [%v,%v) invalid", i, w.From, w.To)
 		}
-		if w.Factor <= 0 {
-			return fmt.Errorf("workload: window %d factor %g <= 0", i, w.Factor)
+		if !(w.Factor > 0) || math.IsInf(w.Factor, 1) {
+			return fmt.Errorf("workload: window %d factor %g is not finite and positive", i, w.Factor)
 		}
 	}
 	if s.SizeModel != "" || s.SizeMean > 0 {
@@ -108,7 +110,7 @@ func (s *Spec) Validate() error {
 			return err
 		}
 	}
-	if s.LateJoinFrac < 0 || s.LateJoinFrac > 1 {
+	if !(s.LateJoinFrac >= 0 && s.LateJoinFrac <= 1) {
 		return fmt.Errorf("workload: late-join fraction %g outside [0,1]", s.LateJoinFrac)
 	}
 	if s.LateJoinFrac > 0 && s.LateJoinAt <= 0 {

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -170,6 +171,16 @@ func TestSpecValidate(t *testing.T) {
 		{Clients: 1, Msgs: 1, Arrival: ArrivalConstant, Gap: time.Millisecond, SizeModel: "zipf"},
 		{Clients: 1, Msgs: 1, Arrival: ArrivalConstant, Gap: time.Millisecond, LateJoinFrac: 2},
 		{Clients: 1, Msgs: 1, Arrival: ArrivalConstant, Gap: time.Millisecond, LateJoinFrac: 0.5},
+		// NaN passes every plain < / > guard; each float field must still
+		// reject it (and infinities).
+		{Clients: 1, Msgs: 1, Arrival: ArrivalConstant, Gap: time.Millisecond, ZipfS: math.NaN()},
+		{Clients: 1, Msgs: 1, Arrival: ArrivalConstant, Gap: time.Millisecond, ZipfS: math.Inf(1)},
+		{Clients: 1, Msgs: 1, Arrival: ArrivalConstant, Gap: time.Millisecond,
+			Windows: []Window{{From: 0, To: 5, Factor: math.NaN()}}},
+		{Clients: 1, Msgs: 1, Arrival: ArrivalConstant, Gap: time.Millisecond,
+			Windows: []Window{{From: 0, To: 5, Factor: math.Inf(1)}}},
+		{Clients: 1, Msgs: 1, Arrival: ArrivalConstant, Gap: time.Millisecond,
+			LateJoinFrac: math.NaN(), LateJoinAt: time.Second},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {

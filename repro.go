@@ -5,9 +5,9 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/exp"
 	"repro/internal/netsim"
 	policyspec "repro/internal/policy"
-	"repro/internal/rng"
 	"repro/internal/rrmp"
 	"repro/internal/runner"
 	"repro/internal/topology"
@@ -50,23 +50,18 @@ const (
 	PolicyHashElect
 )
 
-// config collects the functional options.
+// config collects the functional options. The topology, DATA loss and
+// engine width options fill a scenario, so a Group builds them with the
+// same runner helpers RunScenario uses.
 type config struct {
-	regionSizes []int
-	star        bool
-	tree        *topology.Topology
-	treeErr     error
-	seed        uint64
-	params      Params
-	lossP       float64
-	burstLoss   bool
-	hashLoss    bool
-	blackouts   []int
-	policy      PolicyKind
-	policySpec  string
-	fixedHold   time.Duration
-	tracer      trace.Tracer
-	shards      int
+	sc         exp.Scenario
+	seed       uint64
+	params     Params
+	blackouts  []int
+	policy     PolicyKind
+	policySpec string
+	fixedHold  time.Duration
+	tracer     trace.Tracer
 }
 
 // Option configures NewGroup.
@@ -76,14 +71,14 @@ type Option func(*config)
 // (the sender's) is the parent of the second, and so on. One size builds
 // the paper's single-region evaluation setup.
 func WithRegions(sizes ...int) Option {
-	return func(c *config) { c.regionSizes = sizes; c.star = false }
+	return func(c *config) { c.sc.Regions, c.sc.Star = sizes, false }
 }
 
 // WithStar arranges the regions as a two-level star: every region after
 // the first attaches directly to the sender's region (the paper's
 // Figure 1 shape).
 func WithStar(sizes ...int) Option {
-	return func(c *config) { c.regionSizes = sizes; c.star = true }
+	return func(c *config) { c.sc.Regions, c.sc.Star = sizes, true }
 }
 
 // WithTree arranges members into a balanced multi-level hierarchy: levels
@@ -91,15 +86,7 @@ func WithStar(sizes ...int) Option {
 // total group members spread evenly (the scale experiments' deep-tree
 // layout). An invalid shape surfaces as a NewGroup error.
 func WithTree(branch, levels, members int) Option {
-	return func(c *config) {
-		t, err := topology.BalancedTree(branch, levels, members)
-		if err != nil {
-			c.tree = nil
-			c.treeErr = err
-			return
-		}
-		c.tree, c.treeErr = t, nil
-	}
+	return func(c *config) { c.sc.Tree = &exp.TreeShape{Branch: branch, Levels: levels, Members: members} }
 }
 
 // WithSeed fixes the run's root random seed (default 1).
@@ -115,13 +102,13 @@ func WithParams(p Params) Option {
 // WithDataLoss drops each initial-multicast DATA packet independently with
 // probability p, leaving recovery traffic lossless as in §4.
 func WithDataLoss(p float64) Option {
-	return func(c *config) { c.lossP = p; c.burstLoss = false }
+	return func(c *config) { c.sc.Loss, c.sc.Burst = p, false }
 }
 
 // WithBurstDataLoss uses a Gilbert–Elliott burst-loss channel for DATA at
 // roughly the given long-run loss rate.
 func WithBurstDataLoss(p float64) Option {
-	return func(c *config) { c.lossP = p; c.burstLoss = true }
+	return func(c *config) { c.sc.Loss, c.sc.Burst = p, true }
 }
 
 // WithHashDataLoss drops DATA with probability p like WithDataLoss, but
@@ -133,7 +120,7 @@ func WithBurstDataLoss(p float64) Option {
 // stream — so switching models changes results, switching shard counts
 // never does.
 func WithHashDataLoss(p float64) Option {
-	return func(c *config) { c.lossP = p; c.hashLoss = true; c.burstLoss = false }
+	return func(c *config) { c.sc.Loss, c.sc.LossMode, c.sc.Burst = p, "hash", false }
 }
 
 // WithHashBurstLoss is the shard-safe form of WithBurstDataLoss: a
@@ -144,7 +131,7 @@ func WithHashDataLoss(p float64) Option {
 // stream than the legacy model at equal p, and groups built WithShards
 // keep running genuinely parallel.
 func WithHashBurstLoss(p float64) Option {
-	return func(c *config) { c.lossP = p; c.hashLoss = true; c.burstLoss = true }
+	return func(c *config) { c.sc.Loss, c.sc.LossMode, c.sc.Burst = p, "hash", true }
 }
 
 // WithRegionBlackout drops the initial multicast entirely for every member
@@ -205,7 +192,7 @@ func WithCopyOnStore() Option {
 // draws happen in global send order, which only one loop reproduces. The
 // hash-stream models (WithHashDataLoss, WithHashBurstLoss) stay parallel.
 func WithShards(n int) Option {
-	return func(c *config) { c.shards = n }
+	return func(c *config) { c.sc.Shards = n }
 }
 
 // WithFailureDetector attaches the region-scoped gossip failure detector
@@ -245,52 +232,22 @@ type Group struct {
 // single 100-member region with the paper's defaults.
 func NewGroup(opts ...Option) (*Group, error) {
 	cfg := config{
-		regionSizes: []int{100},
-		seed:        1,
-		params:      rrmp.DefaultParams(),
-		policy:      PolicyTwoPhase,
-		fixedHold:   500 * time.Millisecond,
+		sc:        exp.Scenario{Regions: []int{100}},
+		seed:      1,
+		params:    rrmp.DefaultParams(),
+		policy:    PolicyTwoPhase,
+		fixedHold: 500 * time.Millisecond,
 	}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	var (
-		topo *topology.Topology
-		err  error
-	)
-	switch {
-	case cfg.treeErr != nil:
-		err = cfg.treeErr
-	case cfg.tree != nil:
-		topo = cfg.tree
-	case cfg.star:
-		topo, err = topology.Star(cfg.regionSizes...)
-	default:
-		topo, err = topology.Chain(cfg.regionSizes...)
-	}
+	topo, err := runner.ScenarioTopology(cfg.sc)
 	if err != nil {
 		return nil, fmt.Errorf("repro: building topology: %w", err)
 	}
-
-	var loss netsim.LossModel
-	if cfg.lossP > 0 {
-		only := map[wire.Type]bool{wire.TypeData: true}
-		switch {
-		case cfg.burstLoss && cfg.hashLoss:
-			loss = netsim.NewHashBurstLoss(rng.New(cfg.seed^0xbadbad).Uint64(),
-				cfg.lossP/4, 0.9, 0.02, 0.2, topo.NumNodes(), only)
-		case cfg.burstLoss:
-			loss = &netsim.GilbertElliott{
-				PGood: cfg.lossP / 4, PBad: 0.9,
-				PGB: 0.02, PBG: 0.2,
-				Only: only, Rng: rng.New(cfg.seed ^ 0xbadbad),
-			}
-		case cfg.hashLoss:
-			loss = netsim.NewHashLoss(rng.New(cfg.seed^0xbadbad).Uint64(),
-				cfg.lossP, topo.NumNodes(), only)
-		default:
-			loss = &netsim.BernoulliLoss{P: cfg.lossP, Only: only, Rng: rng.New(cfg.seed ^ 0xbadbad)}
-		}
+	loss, err := runner.ScenarioLoss(cfg.sc, cfg.seed, topo.NumNodes())
+	if err != nil {
+		return nil, fmt.Errorf("repro: %w", err)
 	}
 	if len(cfg.blackouts) > 0 {
 		victims := make(map[topology.NodeID]bool)
@@ -326,10 +283,6 @@ func NewGroup(opts ...Option) (*Group, error) {
 	}
 	policy := runner.PolicyFactory(spec, cfg.fixedHold)
 
-	shards := cfg.shards
-	if cfg.lossP > 0 && !cfg.hashLoss {
-		shards = 1 // shared-stream loss draws are only deterministic serially
-	}
 	cluster, err := runner.NewCluster(runner.ClusterConfig{
 		Topo:   topo,
 		Params: cfg.params,
@@ -337,7 +290,7 @@ func NewGroup(opts ...Option) (*Group, error) {
 		Loss:   loss,
 		Policy: policy,
 		Tracer: cfg.tracer,
-		Shards: shards,
+		Shards: runner.EffectiveShards(cfg.sc),
 	})
 	if err != nil {
 		return nil, fmt.Errorf("repro: building cluster: %w", err)

@@ -216,3 +216,42 @@ func TestGroupByteBudget(t *testing.T) {
 		t.Fatal("byte integral not accumulated")
 	}
 }
+
+// TestGroupMatchesRunScenario drives a Group exactly like a lossy legacy
+// cell — sessions on, 256-byte messages Gap apart, run to the horizon —
+// and checks it sends the same packets and delivers the same messages as
+// RunScenario for the same seed: the facade's topology, loss stream and
+// engine width come from the kernel's own builders.
+func TestGroupMatchesRunScenario(t *testing.T) {
+	for _, mode := range []string{"", "hash"} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			sc := repro.Scenario{Regions: []int{30, 30}, Loss: 0.2, LossMode: mode,
+				Policy: "two-phase", Msgs: 20, Gap: 20 * time.Millisecond, Horizon: 3 * time.Second}
+			want, err := repro.RunScenario(sc, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			loss := repro.WithDataLoss(sc.Loss)
+			if mode == "hash" {
+				loss = repro.WithHashDataLoss(sc.Loss)
+			}
+			g, err := repro.NewGroup(repro.WithRegions(sc.Regions...), loss, repro.WithSeed(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.StartSessions()
+			payload := make([]byte, 256)
+			for i := 0; i < sc.Msgs; i++ {
+				g.At(time.Duration(i)*sc.Gap, func() { g.Publish(payload) })
+			}
+			g.Run(sc.Horizon)
+			if got := float64(g.TotalPacketsSent()); got != want["packets_sent"] {
+				t.Errorf("mode %q seed %d: Group sent %v packets, RunScenario %v", mode, seed, got, want["packets_sent"])
+			}
+			ratio := float64(g.Stats().Delivered) / float64(g.NumMembers()*sc.Msgs)
+			if ratio != want["delivery_ratio"] {
+				t.Errorf("mode %q seed %d: Group delivery %v, RunScenario %v", mode, seed, ratio, want["delivery_ratio"])
+			}
+		}
+	}
+}

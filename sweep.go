@@ -139,10 +139,11 @@ func RunScenario(sc Scenario, seed uint64) (map[string]float64, error) {
 }
 
 // RunScenarioTimeline is RunScenario driven by an externally supplied
-// publish timeline — the trace-replay path. Replaying a recorded timeline
-// reproduces the recording run's metrics byte for byte.
+// publish timeline — the trace-replay path (a nil timeline generates the
+// scenario's own). Replaying a recorded timeline reproduces the recording
+// run's metrics byte for byte.
 func RunScenarioTimeline(sc Scenario, seed uint64, tl WorkloadTimeline) (map[string]float64, error) {
-	return runner.RunScenarioTimeline(sc, seed, tl)
+	return runner.RunScenarioTimeline(sc, seed, tl, nil)
 }
 
 // ScenarioTimeline materializes the scenario's merged publish timeline —
