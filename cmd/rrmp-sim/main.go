@@ -73,6 +73,12 @@
 //
 // The report is a pure function of (matrix, -trials, -seed): the same
 // seeds produce byte-identical aggregates at any -parallel width.
+//
+// -cpuprofile and -memprofile write runtime/pprof CPU and allocation
+// profiles of any mode, for `go tool pprof`:
+//
+//	rrmp-sim -tree 8,4,100000 -loss 0.05 -loss-mode hash -msgs 10 -horizon 2s -cpuprofile cpu.pprof
+//	go tool pprof -top cpu.pprof
 package main
 
 import (
@@ -82,6 +88,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"sort"
 	"strconv"
 	"strings"
@@ -104,6 +112,7 @@ var executionFlags = map[string]bool{
 	"trials": true, "parallel": true, "shards": true, "json": true, "out": true,
 	"sweep": true, "sweep-scale": true, "list-policies": true, "fitness-weights": true,
 	"trace": true, "trace-out": true, "trace-record": true, "trace-replay": true,
+	"cpuprofile": true, "memprofile": true,
 }
 
 // runOpts are an invocation's settings outside the scenario: seed and
@@ -122,8 +131,11 @@ type runOpts struct {
 	traceOut    string
 	traceRecord string
 	traceReplay string
-	stdout      io.Writer
-	stderr      io.Writer
+	// cpuProfile and memProfile name runtime/pprof output files.
+	cpuProfile string
+	memProfile string
+	stdout     io.Writer
+	stderr     io.Writer
 }
 
 func (o runOpts) options() exp.Options {
@@ -147,6 +159,8 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&o.traceOut, "trace-out", "", "write protocol events to this file instead of stderr (single-trial rrmp mode only)")
 	fs.StringVar(&o.traceRecord, "trace-record", "", "write the materialized publish timeline to this file as rrmp-trace/v1 (single-trial -workload mode only)")
 	fs.StringVar(&o.traceReplay, "trace-replay", "", "drive the run from a recorded rrmp-trace/v1 file instead of generating the timeline (single-trial -workload mode only)")
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file (runtime/pprof)")
+	fs.StringVar(&o.memProfile, "memprofile", "", "write an allocation profile of the run to this file when it ends (runtime/pprof)")
 	sweep := fs.Bool("sweep", false, "run the scenario matrix instead of a single scenario")
 	sweepScale := fs.Bool("sweep-scale", false, "run the scale matrix (members×depth balanced trees) and record wall-clock + events/sec")
 	axes := axisFlags(fs)
@@ -203,7 +217,11 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	var err error
+	stopProfiles, err := startProfiles(o.cpuProfile, o.memProfile)
+	if err != nil {
+		fmt.Fprintln(stderr, "rrmp-sim:", err)
+		return 1
+	}
 	switch {
 	case *sweepScale:
 		err = runScale(o, sc.Shards, axes.Trees)
@@ -212,11 +230,54 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	default:
 		err = runSingle(o, *sc)
 	}
+	if perr := stopProfiles(); err == nil {
+		err = perr
+	}
 	if err != nil {
 		fmt.Fprintln(stderr, "rrmp-sim:", err)
 		return 1
 	}
 	return 0
+}
+
+// startProfiles opens the profile files that are set, so a bad path fails
+// before the run, and starts the CPU profile. The returned stop ends it
+// and writes the allocation profile.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpu, mem *os.File
+	if memPath != "" {
+		if mem, err = os.Create(memPath); err != nil {
+			return nil, err
+		}
+	}
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err == nil {
+			if err = pprof.StartCPUProfile(cpu); err != nil {
+				cpu.Close()
+			}
+		}
+		if err != nil {
+			if mem != nil {
+				mem.Close()
+			}
+			return nil, err
+		}
+	}
+	return func() error {
+		var errs []error
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			errs = append(errs, cpu.Close())
+		}
+		if mem != nil {
+			// The allocs profile counts every allocation since the
+			// program started; the GC first makes its in-use figures
+			// current.
+			runtime.GC()
+			errs = append(errs, pprof.Lookup("allocs").WriteTo(mem, 0), mem.Close())
+		}
+		return errors.Join(errs...)
+	}, nil
 }
 
 // scenarioFlags registers the scenario flags on fs and returns the one

@@ -779,3 +779,31 @@ func FuzzWorkloadSpec(f *testing.F) {
 		}
 	})
 }
+
+// TestProfileFlagsWriteFiles runs a single trial under -cpuprofile and
+// -memprofile and checks both files are gzip-framed pprof profiles. The
+// flags choose where output goes, never which cells run.
+func TestProfileFlagsWriteFiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	mustCLI(t, "-regions", "20", "-msgs", "3", "-loss", "0.1", "-cpuprofile", cpu, "-memprofile", mem)
+	for _, path := range []string{cpu, mem} {
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(blob) < 2 || blob[0] != 0x1f || blob[1] != 0x8b {
+			t.Fatalf("%s: not a gzip-framed pprof profile (%d bytes)", filepath.Base(path), len(blob))
+		}
+	}
+	for _, name := range []string{"cpuprofile", "memprofile"} {
+		if !executionFlags[name] {
+			t.Fatalf("-%s counts as customizing the matrix", name)
+		}
+	}
+	for _, flag := range []string{"-cpuprofile", "-memprofile"} {
+		if code, _, _ := cli("-regions", "20", "-msgs", "1", flag, filepath.Join(dir, "missing", "p.pprof")); code != 1 {
+			t.Fatalf("unwritable %s exited %d, want 1", flag, code)
+		}
+	}
+}

@@ -7,15 +7,14 @@ import (
 	"repro/internal/rng"
 )
 
-// Allocation-regression guards for the queue's pooled hot paths. The scale
-// rewrite (PR 3) brought steady-state event traffic to zero allocations per
-// operation — every sweep cell pays these paths tens of thousands of times,
+// Allocation-regression guards for the queue's hot paths. Steady-state
+// event traffic costs zero allocations per operation — every sweep cell pays these paths tens of thousands of times,
 // so a single stray allocation here multiplies into megabytes of garbage
 // per trial. These tests fail on the first regression instead of waiting
 // for someone to read a benchmark diff.
 
 // TestSteadyStatePushPopFireAllocs guards the simulator main loop's pooled
-// fast path: Push into a warm heap, PopFire recycles the struct.
+// fast path: Push into a warm queue, PopFire releases the slot.
 func TestSteadyStatePushPopFireAllocs(t *testing.T) {
 	r := rng.New(1)
 	var q Queue
@@ -23,7 +22,8 @@ func TestSteadyStatePushPopFireAllocs(t *testing.T) {
 	for i := 0; i < 1024; i++ {
 		q.Push(time.Duration(r.Intn(1_000_000)), fn)
 	}
-	// Warm the pool and the heap's backing array before measuring.
+	// Warm the slot slab, the buckets and their item slices before
+	// measuring.
 	for i := 0; i < 64; i++ {
 		q.Push(time.Duration(r.Intn(1_000_000)), fn)
 		q.PopFire()
@@ -38,8 +38,8 @@ func TestSteadyStatePushPopFireAllocs(t *testing.T) {
 }
 
 // TestTimerChurnCancelAllocs guards the protocol-timer path: push a timer
-// event and cancel it through its generation-checked handle; the pool must
-// hand the struct straight back.
+// event and cancel it through its generation-checked handle; the slot must
+// serve the next push straight away.
 func TestTimerChurnCancelAllocs(t *testing.T) {
 	r := rng.New(1)
 	var q Queue
@@ -48,14 +48,12 @@ func TestTimerChurnCancelAllocs(t *testing.T) {
 		q.Push(time.Duration(r.Intn(1_000_000)), fn)
 	}
 	for i := 0; i < 64; i++ {
-		e := q.Push(time.Duration(r.Intn(1_000_000)), fn)
-		if !q.Cancel(e, e.Gen()) {
+		if !q.Cancel(q.Push(time.Duration(r.Intn(1_000_000)), fn)) {
 			t.Fatal("failed to cancel a live event")
 		}
 	}
 	avg := testing.AllocsPerRun(200, func() {
-		e := q.Push(time.Duration(r.Intn(1_000_000)), fn)
-		if !q.Cancel(e, e.Gen()) {
+		if !q.Cancel(q.Push(time.Duration(r.Intn(1_000_000)), fn)) {
 			t.Fatal("failed to cancel a live event")
 		}
 	})

@@ -8,50 +8,15 @@ import (
 )
 
 // Benchmarks for the simulator's hot path: every packet delivery and every
-// protocol timer is one Push (and often one Remove) on this queue, so sweep
+// protocol timer is one Push (and often one Cancel) on this queue, so sweep
 // throughput is bounded by these operations. BENCH_sweep.json tracks the
 // macro numbers; these isolate the queue itself.
 
-// BenchmarkSteadyStatePushPop measures steady-state heap traffic: a queue
-// holding 1024 random-time events pushes one more and pops the earliest,
-// per op (eventq_test.go's BenchmarkPushPop uses sequential times, which
-// hits the heap's best case; random times are the simulator's reality).
-func BenchmarkSteadyStatePushPop(b *testing.B) {
-	r := rng.New(1)
-	var q Queue
-	fn := func() {}
-	for i := 0; i < 1024; i++ {
-		q.Push(time.Duration(r.Intn(1_000_000)), fn)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q.Push(time.Duration(r.Intn(1_000_000)), fn)
-		q.Pop()
-	}
-}
-
-// BenchmarkTimerChurn measures the cancel path the protocol leans on: every
-// retransmission timer is removed when the awaited message arrives. Each op
-// pushes a random-time event into a 1024-event heap and removes it again.
-func BenchmarkTimerChurn(b *testing.B) {
-	r := rng.New(1)
-	var q Queue
-	fn := func() {}
-	for i := 0; i < 1024; i++ {
-		q.Push(time.Duration(r.Intn(1_000_000)), fn)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := q.Push(time.Duration(r.Intn(1_000_000)), fn)
-		if !q.Remove(e) {
-			b.Fatal("failed to remove a live event")
-		}
-	}
-}
-
-// BenchmarkSteadyStatePushPopFire is BenchmarkSteadyStatePushPop on the
-// pooled fast path the simulator's main loop actually runs: PopFire
-// recycles each fired event, so steady state allocates nothing.
+// BenchmarkSteadyStatePushPopFire measures steady-state traffic with
+// distinct timestamps, the queue's worst case (one bucket per event): a
+// queue holding 1024 random-time events pushes one more and pops the
+// earliest, per op (eventq_test.go's BenchmarkPushPop uses sequential
+// times).
 func BenchmarkSteadyStatePushPopFire(b *testing.B) {
 	r := rng.New(1)
 	var q Queue
@@ -66,9 +31,33 @@ func BenchmarkSteadyStatePushPopFire(b *testing.B) {
 	}
 }
 
-// BenchmarkTimerChurnCancel is the pooled cancel path protocol timers use:
-// push a timer event, cancel it through its generation-checked handle, and
-// let the pool hand the struct back to the next push.
+// BenchmarkFanOutPushPopFire measures the simulator's common case: pushes
+// arrive in runs sharing one timestamp (a multicast's receivers under one
+// latency), over a standing queue of 64 such runs of 256 events each.
+func BenchmarkFanOutPushPopFire(b *testing.B) {
+	r := rng.New(1)
+	var q Queue
+	fn := func() {}
+	at := time.Duration(0)
+	for i := 0; i < 64*256; i++ {
+		if i%256 == 0 {
+			at = time.Duration(r.Intn(1_000_000))
+		}
+		q.Push(at, fn)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%256 == 0 {
+			at = time.Duration(r.Intn(1_000_000))
+		}
+		q.Push(at, fn)
+		q.PopFire()
+	}
+}
+
+// BenchmarkTimerChurnCancel is the cancel path protocol timers use: push a
+// timer event, cancel it through its generation-checked handle, and let
+// the freed slot serve the next push.
 func BenchmarkTimerChurnCancel(b *testing.B) {
 	r := rng.New(1)
 	var q Queue
@@ -78,8 +67,7 @@ func BenchmarkTimerChurnCancel(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e := q.Push(time.Duration(r.Intn(1_000_000)), fn)
-		if !q.Cancel(e, e.Gen()) {
+		if !q.Cancel(q.Push(time.Duration(r.Intn(1_000_000)), fn)) {
 			b.Fatal("failed to cancel a live event")
 		}
 	}
@@ -100,7 +88,7 @@ func BenchmarkDrain(b *testing.B) {
 		for _, at := range times {
 			q.Push(at, fn)
 		}
-		for q.Pop() != nil {
+		for _, _, ok := q.PopFire(); ok; _, _, ok = q.PopFire() {
 		}
 	}
 }

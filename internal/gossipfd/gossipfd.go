@@ -53,24 +53,31 @@ type Config struct {
 	OnRestore func(n topology.NodeID)
 }
 
-// entry is one tracked peer.
+// entry is one region member's state, aligned with Detector.order.
 type entry struct {
 	counter   uint64
 	updatedAt time.Duration
 	suspected bool
+	// known is false once a silent peer's state was cleaned up; tombstone
+	// then remembers its last counter. Gossip tables keep circulating a
+	// dead peer's final counter, so re-admission requires a strictly
+	// higher value, i.e. a genuinely fresh heartbeat.
+	known     bool
+	tombstone uint64
 }
 
 // Detector is a region-scoped gossip failure detector. Not safe for
 // concurrent use.
 type Detector struct {
-	cfg     Config
-	order   []topology.NodeID // canonical table order: sorted region members
-	index   map[topology.NodeID]int
-	entries map[topology.NodeID]*entry
-	// tombstones remember the last counter of cleaned-up peers. Gossip
-	// tables keep circulating a dead peer's final counter; re-admission
-	// requires a strictly higher value, i.e. a genuinely fresh heartbeat.
-	tombstones map[topology.NodeID]uint64
+	cfg Config
+	// order is the canonical table order (sorted region members) and
+	// entries the per-member state in that order, so every walk over the
+	// table — sweep, merge, target choice — runs in node order.
+	order   []topology.NodeID
+	entries []entry
+	self    int
+	// candidates is randomLivePeer's scratch.
+	candidates []topology.NodeID
 	ticker     clock.Timer
 	running    bool
 }
@@ -96,18 +103,33 @@ func New(cfg Config) *Detector {
 	members := append([]topology.NodeID(nil), cfg.View.RegionMembers...)
 	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
 	d := &Detector{
-		cfg:        cfg,
-		order:      members,
-		index:      make(map[topology.NodeID]int, len(members)),
-		entries:    make(map[topology.NodeID]*entry, len(members)),
-		tombstones: make(map[topology.NodeID]uint64),
+		cfg:     cfg,
+		order:   members,
+		entries: make([]entry, len(members)),
 	}
 	now := cfg.Sched.Now()
-	for i, n := range members {
-		d.index[n] = i
-		d.entries[n] = &entry{updatedAt: now}
+	for i := range d.entries {
+		d.entries[i] = entry{updatedAt: now, known: true}
 	}
+	d.self = d.indexOf(cfg.View.Self)
 	return d
+}
+
+// indexOf returns n's position in order, or -1 for a node outside the
+// region. Region members are usually a contiguous id range, which a range
+// check resolves; otherwise it binary-searches.
+func (d *Detector) indexOf(n topology.NodeID) int {
+	if len(d.order) == 0 {
+		return -1
+	}
+	if i := int(n - d.order[0]); i >= 0 && i < len(d.order) && d.order[i] == n {
+		return i
+	}
+	i := sort.Search(len(d.order), func(i int) bool { return d.order[i] >= n })
+	if i < len(d.order) && d.order[i] == n {
+		return i
+	}
+	return -1
 }
 
 // Start begins periodic gossip. Idempotent.
@@ -146,7 +168,7 @@ func (d *Detector) scheduleTick() {
 // to one random live peer.
 func (d *Detector) tick() {
 	now := d.cfg.Sched.Now()
-	self := d.entries[d.cfg.View.Self]
+	self := &d.entries[d.self]
 	self.counter++
 	self.updatedAt = now
 
@@ -157,8 +179,8 @@ func (d *Detector) tick() {
 		return
 	}
 	counters := make([]uint64, len(d.order))
-	for i, n := range d.order {
-		if e, ok := d.entries[n]; ok {
+	for i := range d.entries {
+		if e := &d.entries[i]; e.known {
 			counters[i] = e.counter
 		}
 	}
@@ -169,33 +191,33 @@ func (d *Detector) tick() {
 	})
 }
 
-// sweep updates suspicion state from timeouts.
+// sweep updates suspicion state from timeouts, in node order.
 func (d *Detector) sweep(now time.Duration) {
-	for n, e := range d.entries {
-		if n == d.cfg.View.Self {
+	for i := range d.entries {
+		e := &d.entries[i]
+		if i == d.self || !e.known {
 			continue
 		}
 		silence := now - e.updatedAt
 		switch {
 		case silence > d.cfg.CleanupTimeout:
-			d.tombstones[n] = e.counter
-			delete(d.entries, n)
+			e.known = false
+			e.tombstone = e.counter
 		case silence > d.cfg.FailTimeout && !e.suspected:
 			e.suspected = true
 			if d.cfg.OnSuspect != nil {
-				d.cfg.OnSuspect(n)
+				d.cfg.OnSuspect(d.order[i])
 			}
 		}
 	}
 }
 
+// randomLivePeer draws one gossip target uniformly from the live peers in
+// node order (one Intn draw).
 func (d *Detector) randomLivePeer() (topology.NodeID, bool) {
-	candidates := make([]topology.NodeID, 0, len(d.order))
-	for _, n := range d.order {
-		if n == d.cfg.View.Self {
-			continue
-		}
-		if e, ok := d.entries[n]; ok && !e.suspected {
+	candidates := d.candidates[:0]
+	for i, n := range d.order {
+		if e := &d.entries[i]; i != d.self && e.known && !e.suspected {
 			candidates = append(candidates, n)
 		}
 	}
@@ -204,12 +226,13 @@ func (d *Detector) randomLivePeer() (topology.NodeID, bool) {
 		// partitioned or paused. Fall back to the static view so a
 		// rejoining member can re-establish contact instead of going
 		// permanently mute.
-		for _, n := range d.order {
-			if n != d.cfg.View.Self {
+		for i, n := range d.order {
+			if i != d.self {
 				candidates = append(candidates, n)
 			}
 		}
 	}
+	d.candidates = candidates
 	if len(candidates) == 0 {
 		return topology.NoNode, false
 	}
@@ -226,23 +249,20 @@ func (d *Detector) Receive(msg wire.Message) {
 		if i >= len(d.order) {
 			break
 		}
-		n := d.order[i]
-		if n == d.cfg.View.Self {
+		if i == d.self {
 			continue
 		}
-		e, ok := d.entries[n]
-		if !ok {
+		e := &d.entries[i]
+		if !e.known {
 			// Re-admit a cleaned-up peer only on fresh evidence: a counter
 			// strictly above its tombstone. Stale tables recirculating the
 			// final pre-crash counter must not resurrect it.
-			if c <= d.tombstones[n] {
+			if c <= e.tombstone {
 				continue
 			}
-			delete(d.tombstones, n)
 			// Re-admission is a restore: the peer was considered failed
 			// (unknown reads as suspected) and is demonstrably alive.
-			e = &entry{suspected: true}
-			d.entries[n] = e
+			*e = entry{known: true, suspected: true}
 		}
 		if c > e.counter {
 			e.counter = c
@@ -250,7 +270,7 @@ func (d *Detector) Receive(msg wire.Message) {
 			if e.suspected {
 				e.suspected = false
 				if d.cfg.OnRestore != nil {
-					d.cfg.OnRestore(n)
+					d.cfg.OnRestore(d.order[i])
 				}
 			}
 		}
@@ -263,16 +283,16 @@ func (d *Detector) Suspected(n topology.NodeID) bool {
 	if n == d.cfg.View.Self {
 		return false
 	}
-	e, ok := d.entries[n]
-	return !ok || e.suspected
+	i := d.indexOf(n)
+	return i < 0 || !d.entries[i].known || d.entries[i].suspected
 }
 
 // Live returns the sorted region members currently considered alive
 // (including self).
 func (d *Detector) Live() []topology.NodeID {
-	out := make([]topology.NodeID, 0, len(d.entries))
-	for _, n := range d.order {
-		if e, ok := d.entries[n]; ok && !e.suspected {
+	out := make([]topology.NodeID, 0, len(d.order))
+	for i, n := range d.order {
+		if e := &d.entries[i]; e.known && !e.suspected {
 			out = append(out, n)
 		}
 	}

@@ -7,10 +7,13 @@ import (
 
 // MapOrder flags range-over-map loops in simulation packages whose bodies
 // are sensitive to iteration order: drawing from an rng stream, posting or
-// scheduling events, or appending to a slice that outlives the loop. This
-// is exactly the bug class of the PR 1 seed-determinism fix (map-order
-// handoff): Go randomizes map iteration, so any of those bodies makes the
-// run a function of the hash seed instead of the trial seed.
+// scheduling events, calling through a func-typed value (a callback field
+// such as an OnSuspect hook, or a func variable: what it does is unknown
+// here, so it may draw, post or trace), or appending to a slice that
+// outlives the loop. This is exactly the bug class of the leave-handoff
+// seed leak once fixed in core.Buffer.Entries: Go randomizes map
+// iteration, so any of those bodies makes the run a function of the hash
+// seed instead of the trial seed.
 //
 // The sanctioned fix — collect the keys, sort, then iterate — is
 // recognized automatically: an order-sensitive append is not flagged when
@@ -87,6 +90,7 @@ func checkMapRange(pass *Pass, rs *ast.RangeStmt, rest []ast.Stmt) {
 		case *ast.CallExpr:
 			f := pkgFunc(pass.TypesInfo, node)
 			if f == nil {
+				checkFuncValueCall(pass, node, rs)
 				return true
 			}
 			if isRNGSourceMethod(f) && f.Name() != "Split" && f.Name() != "SplitInto" {
@@ -104,6 +108,39 @@ func checkMapRange(pass *Pass, rs *ast.RangeStmt, rest []ast.Stmt) {
 		}
 		return true
 	})
+}
+
+// checkFuncValueCall flags a call through a func-typed value — a struct
+// field, variable or parameter — unless the value is declared inside the
+// loop body. Function literals called in place, builtins and conversions
+// are not func values; their bodies (if any) are inspected on their own.
+func checkFuncValueCall(pass *Pass, call *ast.CallExpr, rs *ast.RangeStmt) {
+	fun := ast.Unparen(call.Fun)
+	if _, isLit := fun.(*ast.FuncLit); isLit {
+		return
+	}
+	tv, ok := pass.TypesInfo.Types[fun]
+	if !ok || !tv.IsValue() {
+		return
+	}
+	if _, isFunc := tv.Type.Underlying().(*types.Signature); !isFunc {
+		return
+	}
+	var name *ast.Ident
+	switch e := fun.(type) {
+	case *ast.Ident:
+		name = e
+	case *ast.SelectorExpr:
+		name = e.Sel
+	}
+	if name != nil {
+		if obj := pass.TypesInfo.Uses[name]; obj != nil && obj.Pos() >= rs.Body.Pos() && obj.Pos() < rs.Body.End() {
+			return
+		}
+	}
+	pass.Reportf(call.Pos(),
+		"call through func value (%s) inside range over map: the callee may draw, post or record in randomized order; iterate sorted keys (or annotate `//lint:allow maporder -- reason`)",
+		types.ExprString(fun))
 }
 
 // checkEscapingAppend flags `x = append(x, ...)` inside the loop when x is

@@ -86,3 +86,63 @@ func SliceRange(eng *sim.Engine, members []int) {
 		eng.At(0, func() { _ = id })
 	}
 }
+
+// Detector carries observer hooks the way a failure detector does.
+type Detector struct {
+	cfg   Config
+	peers map[int]bool
+}
+
+// Config holds the hooks.
+type Config struct {
+	OnSuspect func(n int)
+}
+
+// SweepMapOrder calls a struct-field callback per map entry: the observer
+// (and whatever it records or schedules) sees peers in randomized order.
+func (d *Detector) SweepMapOrder() {
+	for n := range d.peers {
+		d.cfg.OnSuspect(n) // want "call through func value \\(d\\.cfg\\.OnSuspect\\) inside range over map"
+	}
+}
+
+// VisitAll calls a func parameter per map entry.
+func VisitAll(members map[int]bool, visit func(int)) {
+	for id := range members {
+		visit(id) // want "call through func value \\(visit\\) inside range over map"
+	}
+}
+
+// CallHandlers calls func values taken from the map itself.
+func CallHandlers(handlers map[string]func()) {
+	for _, h := range handlers {
+		h() // want "call through func value \\(h\\) inside range over map"
+	}
+}
+
+// SweepNodeOrder is the fix: walk a sorted slice, not the map.
+func (d *Detector) SweepNodeOrder(order []int) {
+	for _, n := range order {
+		d.cfg.OnSuspect(n)
+	}
+}
+
+// LocalFuncs is clean: a function literal called in place, a func value
+// declared inside the body, a conversion, a builtin and a method call are
+// not calls through an outside func value.
+func LocalFuncs(members map[int][]int) int {
+	n := 0
+	for id, vs := range members {
+		func() { n += len(vs) }()
+		add := func(k int) { n += k }
+		add(int(int64(id)))
+		n += Counter(id).Double()
+	}
+	return n
+}
+
+// Counter is a value with a method.
+type Counter int
+
+// Double returns twice c.
+func (c Counter) Double() int { return 2 * int(c) }

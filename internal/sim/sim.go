@@ -216,8 +216,7 @@ func (e *Sim) After(d time.Duration, fn func()) clock.Timer {
 	if d < 0 {
 		d = 0
 	}
-	ev := e.global.Push(e.now+d, fn)
-	return &gtimer{e: e, ev: ev, gen: ev.Gen()}
+	return &gtimer{e: e, h: e.global.Push(e.now+d, fn)}
 }
 
 // At schedules fn on the global queue at the absolute time at, clamped to
@@ -323,8 +322,8 @@ func (e *Sim) overrun() {
 // advancing the clock to each event.
 func (e *Sim) runSerial(deadline time.Duration) {
 	for {
-		head := e.global.Peek()
-		if head == nil || (deadline >= 0 && head.At() > deadline) {
+		at, ok := e.global.PeekAt()
+		if !ok || (deadline >= 0 && at > deadline) {
 			break
 		}
 		if e.gcount >= e.stop {
@@ -357,8 +356,8 @@ func (e *Sim) runTo(deadline time.Duration) {
 			return
 		}
 		h := e.now + e.lookahead
-		if head := e.global.Peek(); head != nil && head.At() < h {
-			h = head.At()
+		if at, ok := e.global.PeekAt(); ok && at < h {
+			h = at
 		}
 		if deadline < h {
 			h = deadline
@@ -381,8 +380,7 @@ func (e *Sim) syncLanes() {
 func (e *Sim) runGlobalDue() {
 	e.barrier = true
 	for {
-		head := e.global.Peek()
-		if head == nil || head.At() > e.now {
+		if at, ok := e.global.PeekAt(); !ok || at > e.now {
 			break
 		}
 		if e.Processed() >= e.stop {
@@ -397,14 +395,10 @@ func (e *Sim) runGlobalDue() {
 
 // nextEventAt returns the earliest pending event time across all queues.
 func (e *Sim) nextEventAt() (time.Duration, bool) {
-	var at time.Duration
-	ok := false
-	if head := e.global.Peek(); head != nil {
-		at, ok = head.At(), true
-	}
+	at, ok := e.global.PeekAt()
 	for _, ln := range e.lanes {
-		if head := ln.q.Peek(); head != nil && (!ok || head.At() < at) {
-			at, ok = head.At(), true
+		if head, lok := ln.q.PeekAt(); lok && (!ok || head < at) {
+			at, ok = head, true
 		}
 	}
 	return at, ok
@@ -417,7 +411,7 @@ func (e *Sim) nextEventAt() (time.Duration, bool) {
 func (e *Sim) runWindow(limit time.Duration, inclusive bool) {
 	e.active = e.active[:0]
 	for _, ln := range e.lanes {
-		if head := ln.q.Peek(); head != nil && due(head.At(), limit, inclusive) {
+		if at, ok := ln.q.PeekAt(); ok && due(at, limit, inclusive) {
 			e.active = append(e.active, ln)
 		}
 	}
@@ -454,8 +448,7 @@ func due(at, limit time.Duration, inclusive bool) bool {
 // order, advancing the lane clock to each event's timestamp.
 func (ln *lane) run(limit time.Duration, inclusive bool, quota uint64) {
 	for n := uint64(0); n <= quota; n++ {
-		head := ln.q.Peek()
-		if head == nil || !due(head.At(), limit, inclusive) {
+		if at, ok := ln.q.PeekAt(); !ok || !due(at, limit, inclusive) {
 			return
 		}
 		at, fn, _ := ln.q.PopFire()
@@ -509,20 +502,17 @@ func (c *laneClock) After(d time.Duration, fn func()) clock.Timer {
 	if e.barrier {
 		src = coordinatorSrc
 	}
-	ev := ln.q.PushKeyed(ln.now+d, ln.now, src, fn)
-	return &ltimer{ln: ln, ev: ev, gen: ev.Gen()}
+	return &ltimer{ln: ln, h: ln.q.PushKeyed(ln.now+d, ln.now, src, fn)}
 }
 
 var _ clock.Scheduler = (*laneClock)(nil)
 
-// gtimer is a handle to a global-queue event. Events are pooled, so the
-// handle remembers the generation observed at push time; a Stop after the
-// event fired (and the struct was reused for a later event) is a stale
-// handle that Cancel correctly refuses.
+// gtimer is a handle to a global-queue event. Queue slots are reused, so
+// a Stop after the event fired (and its slot went to a later event) holds
+// a stale handle, which Cancel refuses.
 type gtimer struct {
-	e   *Sim
-	ev  *eventq.Event
-	gen uint32
+	e *Sim
+	h eventq.Handle
 }
 
 // Stop cancels the timer; see clock.Timer.
@@ -533,7 +523,7 @@ func (t *gtimer) Stop() bool {
 		t.e.gmu.Lock()
 		defer t.e.gmu.Unlock()
 	}
-	return t.e.global.Cancel(t.ev, t.gen)
+	return t.e.global.Cancel(t.h)
 }
 
 // ltimer is a handle to a lane event. Stop is only safe from the owning
@@ -541,13 +531,12 @@ func (t *gtimer) Stop() bool {
 // lane operation. Protocol members only cancel their own timers, so this
 // holds by construction.
 type ltimer struct {
-	ln  *lane
-	ev  *eventq.Event
-	gen uint32
+	ln *lane
+	h  eventq.Handle
 }
 
 // Stop cancels the timer; see clock.Timer.
-func (t *ltimer) Stop() bool { return t.ln.q.Cancel(t.ev, t.gen) }
+func (t *ltimer) Stop() bool { return t.ln.q.Cancel(t.h) }
 
 var _ clock.Timer = (*gtimer)(nil)
 var _ clock.Timer = (*ltimer)(nil)
